@@ -34,9 +34,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "dist/data_parallel.hpp"
 #include "dist/hybrid_parallel.hpp"
-#include "dist/pipeline_parallel.hpp"
 #include "util/json_writer.hpp"
 
 using namespace sn;
@@ -150,12 +148,9 @@ int main(int argc, char** argv) {
     }
     // Pure data parallelism: 1 x 2.
     {
-      dist::DataParallelConfig cfg;
-      cfg.devices = 2;
-      cfg.global_batch = kGlobalBatch;
-      cfg.cluster = sim::nvlink_cluster_spec(2);
-      cfg.train.iterations = kIters;
-      dist::DataParallelTrainer dp(factory, sim_options(cfg.cluster), cfg);
+      const auto cfg = bench::nvlink_grid_config(1, 2, 1, kGlobalBatch, kIters,
+                                                 dist::SchedulePolicy::kGPipe);
+      dist::HybridParallelTrainer dp(factory, sim_options(cfg.cluster), cfg);
       const auto rep = dp.run();
       const auto& st = rep.stats.back();
       Row r{name,       "dp", "-",
@@ -164,7 +159,7 @@ int main(int argc, char** argv) {
             0.0,        st.allreduce_seconds,
             0.0,        st.p2p_bytes};
       add_dispersion(&r, repeats, kGlobalBatch, [&] {
-        dist::DataParallelTrainer again(factory, sim_options(cfg.cluster), cfg);
+        dist::HybridParallelTrainer again(factory, sim_options(cfg.cluster), cfg);
         return again.run().stats.back().seconds;
       });
       rows.push_back(r);
@@ -176,19 +171,16 @@ int main(int argc, char** argv) {
     }
     // Pure pipeline: 2 x 1.
     {
-      dist::PipelineParallelConfig cfg;
-      cfg.stages = 2;
-      cfg.microbatches = kMicrobatches;
-      cfg.global_batch = kGlobalBatch;
-      cfg.cluster = sim::nvlink_cluster_spec(2);
-      cfg.train.iterations = kIters;
-      dist::PipelineParallelTrainer pipe(factory, sim_options(cfg.cluster), cfg);
+      const auto cfg = bench::nvlink_grid_config(2, 1, kMicrobatches, kGlobalBatch, kIters,
+                                                 dist::SchedulePolicy::kGPipe);
+      dist::HybridParallelTrainer pipe(factory, sim_options(cfg.cluster), cfg);
       const auto rep = pipe.run();
       const auto& st = rep.stats.back();
       // Standard pipeline-bubble fraction: span in excess of the bottleneck
       // stage's own busy time (matches bench_pipeline_stages).
       double busy_max = 0.0;
-      for (const auto& ss : rep.stage_stats.back()) {
+      for (const auto& stage_row : rep.cell_stats.back()) {
+        const auto& ss = stage_row.front();
         busy_max = std::max(busy_max, ss.seconds - ss.bubble_seconds);
       }
       Row r{name,       "pipeline", "-",
@@ -197,7 +189,7 @@ int main(int argc, char** argv) {
             st.bubble_seconds, 0.0,
             0.0,        st.p2p_bytes};
       add_dispersion(&r, repeats, kGlobalBatch, [&] {
-        dist::PipelineParallelTrainer again(factory, sim_options(cfg.cluster), cfg);
+        dist::HybridParallelTrainer again(factory, sim_options(cfg.cluster), cfg);
         return again.run().stats.back().seconds;
       });
       rows.push_back(r);
@@ -211,14 +203,8 @@ int main(int argc, char** argv) {
     for (const GridCfg& g : grids) {
       for (dist::SchedulePolicy policy : policies) {
         const char* pname = dist::schedule_policy_name(policy);
-        dist::HybridParallelConfig cfg;
-        cfg.stages = g.stages;
-        cfg.replicas = g.replicas;
-        cfg.microbatches = kMicrobatches;
-        cfg.global_batch = kGlobalBatch;
-        cfg.cluster = sim::nvlink_cluster_spec(g.stages * g.replicas);
-        cfg.train.iterations = kIters;
-        cfg.schedule = policy;
+        const auto cfg = bench::nvlink_grid_config(g.stages, g.replicas, kMicrobatches,
+                                                   kGlobalBatch, kIters, policy);
         dist::HybridParallelTrainer hyb(factory, sim_options(cfg.cluster), cfg);
         const auto rep = hyb.run();
         const auto& st = rep.stats.back();

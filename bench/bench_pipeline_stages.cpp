@@ -38,8 +38,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "dist/data_parallel.hpp"
-#include "dist/pipeline_parallel.hpp"
+#include "dist/hybrid_parallel.hpp"
 #include "util/json_writer.hpp"
 
 using namespace sn;
@@ -139,13 +138,10 @@ int main(int argc, char** argv) {
     for (int stages : stage_sweep) {
       // Data-parallel baseline at the same device count.
       {
-        dist::DataParallelConfig cfg;
-        cfg.devices = stages;
-        cfg.global_batch = kGlobalBatch;
-        cfg.cluster = sim::nvlink_cluster_spec(stages);
-        cfg.train.iterations = kIters;
+        const auto cfg = bench::nvlink_grid_config(1, stages, 1, kGlobalBatch, kIters,
+                                                   dist::SchedulePolicy::kGPipe);
         auto factory = [&](int batch) { return bench::build_network(name, batch); };
-        dist::DataParallelTrainer dp(factory, sim_options(cfg.cluster), cfg);
+        dist::HybridParallelTrainer dp(factory, sim_options(cfg.cluster), cfg);
         auto rep = dp.run();
         const auto& st = rep.stats.back();
         t.add_row({name, std::to_string(stages) + "-dev data-parallel", "-",
@@ -160,22 +156,18 @@ int main(int argc, char** argv) {
           std::vector<double> samples;
           Row r;
           for (int run = 0; run < repeats; ++run) {
-            dist::PipelineParallelConfig cfg;
-            cfg.stages = stages;
-            cfg.microbatches = mb;
-            cfg.global_batch = kGlobalBatch;
-            cfg.cluster = sim::nvlink_cluster_spec(stages);
-            cfg.train.iterations = kIters;
-            cfg.schedule = policy;
+            const auto cfg =
+                bench::nvlink_grid_config(stages, 1, mb, kGlobalBatch, kIters, policy);
             auto factory = [&](int batch) { return bench::build_network(name, batch); };
-            dist::PipelineParallelTrainer pipe(factory, sim_options(cfg.cluster), cfg);
+            dist::HybridParallelTrainer pipe(factory, sim_options(cfg.cluster), cfg);
             auto rep = pipe.run();
             const auto& st = rep.stats.back();
             samples.push_back(st.seconds);
             if (run > 0) continue;
             // Bottleneck stage busy time: per-stage span minus its stalls.
             double busy_max = 0.0;
-            for (const auto& ss : rep.stage_stats.back()) {
+            for (const auto& stage_row : rep.cell_stats.back()) {
+              const auto& ss = stage_row.front();
               busy_max = std::max(busy_max, ss.seconds - ss.bubble_seconds);
             }
             r = Row{name,          pname,

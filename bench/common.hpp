@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/runtime.hpp"
+#include "dist/hybrid_parallel.hpp"
 #include "graph/zoo.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -77,6 +78,22 @@ inline int search_max(int lo, int hi, const std::function<bool(int)>& pred) {
     }
   }
   return lo;
+}
+
+/// An S x R device grid on NVLink (TITAN-Xp preset). Every distributed
+/// geometry is one: 1 x R is data parallelism, S x 1 a plain pipeline.
+inline dist::HybridParallelConfig nvlink_grid_config(int stages, int replicas, int microbatches,
+                                                     int global_batch, int iterations,
+                                                     dist::SchedulePolicy policy) {
+  dist::HybridParallelConfig cfg;
+  cfg.stages = stages;
+  cfg.replicas = replicas;
+  cfg.microbatches = microbatches;
+  cfg.global_batch = global_batch;
+  cfg.cluster = sim::nvlink_cluster_spec(stages * replicas);
+  cfg.train.iterations = iterations;
+  cfg.schedule = policy;
+  return cfg;
 }
 
 inline std::string gb(uint64_t bytes) {

@@ -103,8 +103,8 @@ struct IterationStats {
   double d2h_seconds = 0.0;
   double h2d_seconds = 0.0;
 
-  // Collective telemetry, filled by dist::DataParallelTrainer and
-  // dist::HybridParallelTrainer (zero for single-device training).
+  // Collective telemetry, filled by dist::HybridParallelTrainer (zero for
+  // single-device training).
   uint64_t p2p_bytes = 0;          ///< bytes this device sent over peer links
   double allreduce_seconds = 0.0;  ///< device time inside the gradient all-reduce
 
@@ -114,8 +114,8 @@ struct IterationStats {
   /// this — the overlap win the hybrid bench gates on.
   double allreduce_exposed_seconds = 0.0;
 
-  // Pipeline telemetry, filled by dist::PipelineParallelTrainer and
-  // dist::HybridParallelTrainer (zero elsewhere).
+  // Pipeline telemetry, filled by dist::HybridParallelTrainer when it runs
+  // more than one stage (zero elsewhere).
   double p2p_seconds = 0.0;     ///< link seconds occupied by this device's sends
   double bubble_seconds = 0.0;  ///< compute time stalled waiting on a pipeline
                                 ///< neighbor (fill/drain bubbles)

@@ -2,9 +2,10 @@
 //
 // A communicator spans a GROUP: any subset of a cluster's devices (rank i of
 // the group lives on device_ids[i]). Whole-cluster communicators are the
-// trivial identity group (dist::DataParallelTrainer); hybrid parallelism
-// builds one communicator per pipeline stage over that stage's replica
-// devices, so collectives within different stages ride disjoint links.
+// trivial identity group; dist::HybridParallelTrainer builds one
+// communicator per pipeline stage over that stage's replica devices, so
+// collectives within different stages ride disjoint links (with one stage,
+// that one group is the whole cluster).
 //
 // Two all-reduce algorithms implement the same in-place sum contract:
 //

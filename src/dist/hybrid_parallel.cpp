@@ -7,15 +7,57 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "dist/trainer_common.hpp"
 #include "util/pairwise.hpp"
 
 namespace sn::dist {
 
-using detail::accumulate;
-using detail::classes_of;
-using detail::layer_by_name;
-using detail::sample_shape_of;
+namespace {
+
+tensor::Shape sample_shape_of(const graph::Net& net) {
+  tensor::Shape s = net.input_layer()->out_shape();
+  s.n = 1;
+  return s;
+}
+
+/// Class count for the synthetic dataset; stage nets without a loss layer
+/// (every pipeline stage but the last) fall back to a placeholder.
+int classes_of(const graph::Net& net) {
+  const graph::Layer* loss = net.loss_layer();
+  return loss ? static_cast<int>(loss->out_shape().c) : 2;
+}
+
+graph::Layer* layer_by_name(graph::Net& net, const std::string& name) {
+  for (const auto& l : net.layers()) {
+    if (l->name() == name) return l.get();
+  }
+  throw std::logic_error("dist: stage net lost layer " + name);
+}
+
+/// Fold `p` into `a`: peaks take the max, every additive counter sums.
+/// Builds both a cell's iteration from its passes and the grid aggregate
+/// from its cells (time/stall/bubble/p2p are set from machine counters at
+/// iteration end — the passes do not cover the trainer's own waits).
+void accumulate(core::IterationStats& a, const core::IterationStats& p) {
+  a.peak_mem = std::max(a.peak_mem, p.peak_mem);
+  a.host_peak = std::max(a.host_peak, p.host_peak);
+  a.bytes_d2h += p.bytes_d2h;
+  a.bytes_h2d += p.bytes_h2d;
+  a.extra_forwards += p.extra_forwards;
+  a.evictions += p.evictions;
+  a.cache_hits += p.cache_hits;
+  a.cache_misses += p.cache_misses;
+  a.allocs += p.allocs;
+  a.malloc_seconds += p.malloc_seconds;
+  a.dma_copies += p.dma_copies;
+  a.d2h_seconds += p.d2h_seconds;
+  a.h2d_seconds += p.h2d_seconds;
+  a.peer_stage_count += p.peer_stage_count;
+  a.peer_stage_bytes += p.peer_stage_bytes;
+  a.peer_fetch_count += p.peer_fetch_count;
+  a.peer_spill_count += p.peer_spill_count;
+}
+
+}  // namespace
 
 HybridParallelTrainer::HybridParallelTrainer(const NetFactory& factory,
                                              core::RuntimeOptions base,
@@ -70,8 +112,7 @@ HybridParallelTrainer::HybridParallelTrainer(const NetFactory& factory,
                                        : part.partition_at(cfg_.boundaries);
       }()),
       cluster_(cfg_.cluster),
-      grid_(cluster_, cfg_.stages, cfg_.replicas),
-      dataset_(sample_shape_of(*full_), classes_of(*full_), cfg_.train.data_seed) {
+      grid_(cluster_, cfg_.stages, cfg_.replicas) {
   const int S = cfg_.stages, R = cfg_.replicas;
   const size_t cells = static_cast<size_t>(S) * static_cast<size_t>(R);
   base.spec = cfg_.cluster.device;
@@ -194,8 +235,10 @@ HybridParallelTrainer::HybridParallelTrainer(const NetFactory& factory,
         std::make_unique<Communicator>(cluster_, grid_.replica_group(s), std::move(row)));
   }
 
+  // Synthetic data only backs real numerics; simulation never reads it.
   if (real_) {
-    batch_data_.resize(static_cast<size_t>(cfg_.global_batch) * dataset_.sample_elems());
+    dataset_.emplace(sample_shape_of(*full_), classes_of(*full_), cfg_.train.data_seed);
+    batch_data_.resize(static_cast<size_t>(cfg_.global_batch) * dataset_->sample_elems());
     batch_labels_.resize(static_cast<size_t>(cfg_.global_batch));
   }
 }
@@ -311,12 +354,13 @@ HybridParallelReport HybridParallelTrainer::run() {
   HybridParallelReport report;
   const int S = cfg_.stages, R = cfg_.replicas, M = cfg_.microbatches;
   const size_t cells = static_cast<size_t>(S) * static_cast<size_t>(R);
-  const int64_t mb_elems = static_cast<int64_t>(microbatch_) * dataset_.sample_elems();
+  const int64_t sample_elems = real_ ? dataset_->sample_elems() : 0;
+  const int64_t mb_elems = static_cast<int64_t>(microbatch_) * sample_elems;
 
   for (int it = 0; it < cfg_.train.iterations; ++it) {
     if (real_) {
-      dataset_.fill_batch(cfg_.global_batch, static_cast<uint64_t>(it), batch_data_.data(),
-                          batch_labels_.data());
+      dataset_->fill_batch(cfg_.global_batch, static_cast<uint64_t>(it), batch_data_.data(),
+                           batch_labels_.data());
     }
     std::vector<std::array<double, 3>> bubble_ph(cells, {0.0, 0.0, 0.0});
     std::vector<core::IterationStats> cell_st(cells);
@@ -341,7 +385,7 @@ HybridParallelReport HybridParallelTrainer::run() {
       if (!real_) return nullptr;
       if (s == 0) {
         return batch_data_.data() +
-               (static_cast<int64_t>(r) * shard_ * dataset_.sample_elems()) +
+               (static_cast<int64_t>(r) * shard_ * sample_elems) +
                static_cast<int64_t>(m) * mb_elems;
       }
       return stash_[cell(s, r)][static_cast<size_t>(sched_->stash_slot(s, m))].data();
@@ -369,8 +413,10 @@ HybridParallelReport HybridParallelTrainer::run() {
             const double op_v0 = grid_.machine(s, r).now();
             runtimes_[c]->set_schedule_phase(static_cast<int>(op.phase), m);
             // Physical write-after-read gate: the forward overwrites out_t_,
-            // which an in-flight activation send may still be reading (see
-            // pipeline_parallel.cpp — 1F1B only; a no-op under GPipe).
+            // which an in-flight activation send's DMA read may still be
+            // feeding (1F1B only; a no-op under GPipe). The worker queue is
+            // FIFO, so landing the NEWEST outstanding tag lands them all.
+            // Wall-clock only: virtual time and the schedule are untouched.
             if (s + 1 < S && !act_q_[cell(s + 1, r)].empty()) {
               engine(s, r).await_landing(core::TransferDir::kP2P,
                                          act_q_[cell(s + 1, r)].back().second);
@@ -642,26 +688,15 @@ HybridParallelReport HybridParallelTrainer::run() {
         st.p2p_bytes = c1.bytes_p2p - c0[c].bytes_p2p;
         st.p2p_seconds = c1.seconds_p2p - c0[c].seconds_p2p;
 
+        accumulate(agg, st);
         agg.seconds = std::max(agg.seconds, st.seconds);
         agg.stall_seconds = std::max(agg.stall_seconds, st.stall_seconds);
         agg.bubble_seconds += st.bubble_seconds;
         agg.bubble_fill_seconds += st.bubble_fill_seconds;
         agg.bubble_steady_seconds += st.bubble_steady_seconds;
         agg.bubble_drain_seconds += st.bubble_drain_seconds;
-        agg.peak_mem = std::max(agg.peak_mem, st.peak_mem);
-        agg.host_peak = std::max(agg.host_peak, st.host_peak);
         agg.p2p_bytes += st.p2p_bytes;
         agg.p2p_seconds += st.p2p_seconds;
-        agg.bytes_d2h += st.bytes_d2h;
-        agg.bytes_h2d += st.bytes_h2d;
-        agg.evictions += st.evictions;
-        agg.peer_stage_count += st.peer_stage_count;
-        agg.peer_stage_bytes += st.peer_stage_bytes;
-        agg.peer_fetch_count += st.peer_fetch_count;
-        agg.peer_spill_count += st.peer_spill_count;
-        agg.extra_forwards += st.extra_forwards;
-        agg.allocs += st.allocs;
-        agg.dma_copies += st.dma_copies;
         grid_st[static_cast<size_t>(s)][static_cast<size_t>(r)] = st;
       }
     }

@@ -1,4 +1,4 @@
-// dist::HybridParallelTrainer — 2D hybrid parallelism: pipeline stages
+// dist::HybridParallelTrainer — the one distributed trainer: pipeline stages
 // replicated across a second cluster axis.
 //
 // The cluster's S*R devices form a sim::GridView — S pipeline-stage rows by
@@ -13,28 +13,55 @@
 //        stage S-1    ...                          dev S*R-1
 //                     └────────── per-stage all-reduce ───────┘
 //
-// Each global batch is split across the R replica columns (contiguous
-// shards, like data parallelism), and each shard into M microbatches driven
-// through the column's GPipe fill/drain schedule (like pipeline
-// parallelism): activations/gradients stream between corresponding stage
-// replicas — cell (s, r) talks only to (s±1, r) — via
-// TransferEngine::submit_p2p, gated on virtual landing events exactly as in
-// dist::PipelineParallelTrainer (re-materialization at drain, per-microbatch
-// pairwise gradient combination). After the drain, each stage's R replicas
-// all-reduce their fused gradients over a SUB-GROUP Communicator spanning
-// just that stage's row — S independent collectives on disjoint links — and
-// then every cell steps SGD.
+// Every geometry is a grid shape: data parallelism over N devices is
+// {stages=1, replicas=N, microbatches=1}; a plain S-stage pipeline is
+// {stages=S, replicas=1}. Each cell runs the paper's full single-GPU
+// schedule (liveness, unified tensor pool, tensor cache, recompute, dynamic
+// workspaces) on its share of the work.
 //
-// Bit-parity: a replica's pairwise-combined microbatch gradient is one
+// Each global batch is split across the R replica columns (contiguous
+// shards), and each shard into M microbatches driven through the column's
+// ScheduleEngine op list under the configured SchedulePolicy:
+//
+//   kGPipe: fill (every stage forwards microbatch 0..M-1, streaming the
+//          boundary activation to its successor over
+//          TransferEngine::submit_p2p; a stage's forward for microbatch m is
+//          gated on the virtual landing event of that activation, so the
+//          classic fill ramp and its bubble fall out of virtual time) then
+//          drain (microbatches retire newest-first; a stage REMATERIALIZES
+//          older forwards from its stashed boundary input, receives the
+//          output gradient, runs backward, and streams the input gradient
+//          upstream). The row all-reduce and SGD follow the drain.
+//   k1F1B: PipeDream-flush — warmup forwards, then one-forward-one-backward
+//          steady state (backwards retire in ASCENDING microbatch order),
+//          then cooldown. Smaller bubble, a stash of at most min(M, S-s+1)
+//          microbatch inputs instead of all M, and each stage's fused
+//          gradient all-reduces bucket by bucket as soon as its last
+//          microbatch retires, overlapping the upstream drain.
+//
+// Cell (s, r) talks only to (s±1, r) down its column. The gradient update
+// runs per stage row: the R replicas all-reduce their fused gradients over
+// a SUB-GROUP Communicator spanning just that row — S independent
+// collectives on disjoint links — and then every cell steps SGD. A cell's
+// IterationStats::seconds therefore covers its forward/backward passes, the
+// all-reduce and the SGD step.
+//
+// Bit-parity: loss gradients are scaled by the GLOBAL batch and every batch
+// reduction in the kernels is a pairwise tree (util/pairwise.hpp).
+// Per-microbatch gradients combine pairwise in ascending microbatch order
+// REGARDLESS of backward execution order, so a replica's gradient is one
 // contiguous-shard subtree of the full-batch reduction; the per-stage
-// all-reduce (kAuto: recursive halving-doubling for power-of-two R) combines
-// the R subtrees in ascending rank order — the same binary-counter pairwise
-// tree a single device builds. So S x R x M training is bit-identical
-// (losses AND weights) to single-device training on the combined batch for
-// power-of-two microbatch geometry — the paper's "scheduling never changes
-// training results" invariant, extended across BOTH cluster axes at once.
-// Same restriction as the 1D trainers: per-sample kernels only (no BatchNorm
-// batch statistics, no dropout).
+// all-reduce (kAuto: recursive halving-doubling for power-of-two R)
+// combines the R subtrees in ascending rank order — the same binary-counter
+// pairwise tree a single device builds. So S x R x M training is
+// bit-identical (losses AND weights) to single-device training on the
+// combined batch for power-of-two geometry, under both policies — the
+// paper's "scheduling never changes training results" invariant, extended
+// across BOTH cluster axes at once. Non-power-of-two R falls back to the
+// ring: deterministic and replicas in bitwise lockstep, but final-ulp
+// rounding vs single-device may differ. Per-sample kernels only (no
+// BatchNorm batch statistics, no dropout — both couple results to a
+// sample's position inside the local batch).
 //
 // Determinism: the trainer is single-threaded; every cross-cell dependency
 // is an explicit virtual event (receivers machine-wait it; wall-clock bytes
@@ -45,6 +72,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -111,8 +139,7 @@ class HybridParallelTrainer {
 
   /// `base` supplies the runtime policy for every cell; its spec / cluster /
   /// device_id / stage / replica / loss_batch fields are overwritten per
-  /// cell. S=1 degenerates to microbatched data parallelism, R=1 to the
-  /// plain pipeline.
+  /// cell. S=1 is (microbatched) data parallelism, R=1 the plain pipeline.
   HybridParallelTrainer(const NetFactory& factory, core::RuntimeOptions base,
                         HybridParallelConfig cfg);
 
@@ -182,7 +209,7 @@ class HybridParallelTrainer {
   std::vector<std::unique_ptr<graph::Net>> stage_nets_;      ///< [cell]
   std::vector<std::unique_ptr<core::Runtime>> runtimes_;     ///< [cell]
   std::vector<std::unique_ptr<Communicator>> comms_;         ///< [stage] replica-row groups
-  train::SyntheticDataset dataset_;
+  std::optional<train::SyntheticDataset> dataset_;  ///< real mode only
   std::vector<float> batch_data_;
   std::vector<int32_t> batch_labels_;
 

@@ -1,6 +1,6 @@
 // NetPartitioner: cut a Net's route into contiguous pipeline stages.
 //
-// Pipeline parallelism (dist::PipelineParallelTrainer) places each stage on
+// Pipeline parallelism (dist::HybridParallelTrainer) places each stage on
 // its own cluster device and streams the boundary activation forward (and
 // its gradient backward) over the P2P fabric. A cut position is *valid* only
 // when exactly ONE layer's output crosses it — the stage boundary must be a

@@ -1,6 +1,7 @@
 // dist/ subsystem tests: ring all-reduce numerics, data-parallel training
 // parity (the flagship multi-device invariant: sharding a batch across
-// replicas never changes training results), and collective telemetry.
+// replicas never changes training results), and collective telemetry. Data
+// parallelism is the 1 x N row geometry of dist::HybridParallelTrainer.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +9,7 @@
 #include <vector>
 
 #include "dist/communicator.hpp"
-#include "dist/data_parallel.hpp"
+#include "dist/hybrid_parallel.hpp"
 #include "graph/zoo.hpp"
 #include "train/trainer.hpp"
 #include "util/pairwise.hpp"
@@ -242,6 +243,19 @@ train::TrainConfig parity_train_config(int iterations) {
   return tc;
 }
 
+/// N replicas of one unsplit stage: one grid row, one microbatch per replica.
+dist::HybridParallelConfig dp_config(int devices, int global_batch, sim::ClusterSpec cluster,
+                                     train::TrainConfig tc) {
+  dist::HybridParallelConfig cfg;
+  cfg.stages = 1;
+  cfg.replicas = devices;
+  cfg.microbatches = 1;
+  cfg.global_batch = global_batch;
+  cfg.cluster = cluster;
+  cfg.train = tc;
+  return cfg;
+}
+
 TEST(DataParallel, TwoDevicesMatchSingleDeviceBitForBit) {
   const int kGlobalBatch = 8, kIters = 5;
   auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
@@ -255,12 +269,8 @@ TEST(DataParallel, TwoDevicesMatchSingleDeviceBitForBit) {
   auto single = trainer.run();
 
   // Two devices, sharded batch.
-  dist::DataParallelConfig cfg;
-  cfg.devices = 2;
-  cfg.global_batch = kGlobalBatch;
-  cfg.cluster = sim::pcie_cluster_spec(2);
-  cfg.train = tc;
-  dist::DataParallelTrainer dp(factory, o, cfg);
+  const auto cfg = dp_config(2, kGlobalBatch, sim::pcie_cluster_spec(2), tc);
+  dist::HybridParallelTrainer dp(factory, o, cfg);
   auto multi = dp.run();
 
   ASSERT_EQ(single.losses.size(), multi.losses.size());
@@ -271,7 +281,7 @@ TEST(DataParallel, TwoDevicesMatchSingleDeviceBitForBit) {
   // Weights end bit-identical too — on every replica.
   const auto& single_layers = rt.net().layers();
   for (int d = 0; d < 2; ++d) {
-    core::Runtime& rep = dp.runtime(d);
+    core::Runtime& rep = dp.runtime(0, d);
     const auto& rep_layers = rep.net().layers();
     ASSERT_EQ(single_layers.size(), rep_layers.size());
     for (size_t li = 0; li < single_layers.size(); ++li) {
@@ -300,12 +310,8 @@ TEST(DataParallel, FourDevicesMatchSingleDeviceBitForBit) {
   train::Trainer trainer(rt, tc);
   auto single = trainer.run();
 
-  dist::DataParallelConfig cfg;
-  cfg.devices = 4;
-  cfg.global_batch = kGlobalBatch;
-  cfg.cluster = sim::pcie_cluster_spec(4);
-  cfg.train = tc;
-  dist::DataParallelTrainer dp(factory, o, cfg);
+  const auto cfg = dp_config(4, kGlobalBatch, sim::pcie_cluster_spec(4), tc);
+  dist::HybridParallelTrainer dp(factory, o, cfg);
   auto multi = dp.run();
 
   ASSERT_EQ(single.losses.size(), multi.losses.size());
@@ -314,7 +320,7 @@ TEST(DataParallel, FourDevicesMatchSingleDeviceBitForBit) {
   }
   const auto& single_layers = rt.net().layers();
   for (int d = 0; d < 4; ++d) {
-    core::Runtime& rep = dp.runtime(d);
+    core::Runtime& rep = dp.runtime(0, d);
     const auto& rep_layers = rep.net().layers();
     for (size_t li = 0; li < single_layers.size(); ++li) {
       const auto& sp = single_layers[li]->params();
@@ -330,22 +336,18 @@ TEST(DataParallel, FourDevicesMatchSingleDeviceBitForBit) {
 TEST(DataParallel, LossDecreasesAndReplicasStayInLockstep) {
   auto factory = [](int batch) { return graph::build_tiny_fanjoin(batch); };
   core::RuntimeOptions o = parity_options();
-  dist::DataParallelConfig cfg;
-  cfg.devices = 2;
-  cfg.global_batch = 8;
-  cfg.cluster = sim::nvlink_cluster_spec(2);
-  cfg.train = parity_train_config(12);
-  dist::DataParallelTrainer dp(factory, o, cfg);
+  const auto cfg = dp_config(2, 8, sim::nvlink_cluster_spec(2), parity_train_config(12));
+  dist::HybridParallelTrainer dp(factory, o, cfg);
   auto report = dp.run();
   EXPECT_LT(report.last_loss(), report.first_loss());
 
-  const auto& l0 = dp.runtime(0).net().layers();
-  const auto& l1 = dp.runtime(1).net().layers();
+  const auto& l0 = dp.runtime(0, 0).net().layers();
+  const auto& l1 = dp.runtime(0, 1).net().layers();
   for (size_t li = 0; li < l0.size(); ++li) {
     const auto& p0 = l0[li]->params();
     const auto& p1 = l1[li]->params();
     for (size_t pi = 0; pi < p0.size(); ++pi) {
-      EXPECT_EQ(dp.runtime(0).read_tensor(p0[pi]), dp.runtime(1).read_tensor(p1[pi]));
+      EXPECT_EQ(dp.runtime(0, 0).read_tensor(p0[pi]), dp.runtime(0, 1).read_tensor(p1[pi]));
     }
   }
 }
@@ -358,12 +360,8 @@ TEST(DataParallel, MemoryPressureDoesNotChangeLosses) {
     auto factory = [](int batch) { return graph::build_tiny_linear(batch, 16); };
     core::RuntimeOptions o = parity_options();
     o.device_capacity = capacity;
-    dist::DataParallelConfig cfg;
-    cfg.devices = 2;
-    cfg.global_batch = 8;
-    cfg.cluster = sim::pcie_cluster_spec(2);
-    cfg.train = parity_train_config(6);
-    dist::DataParallelTrainer dp(factory, o, cfg);
+    const auto cfg = dp_config(2, 8, sim::pcie_cluster_spec(2), parity_train_config(6));
+    dist::HybridParallelTrainer dp(factory, o, cfg);
     return dp.run().losses;
   };
   EXPECT_EQ(run(64ull << 20), run(1ull << 20));
@@ -372,29 +370,25 @@ TEST(DataParallel, MemoryPressureDoesNotChangeLosses) {
 TEST(DataParallel, CollectiveTelemetryIsVisible) {
   auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
   core::RuntimeOptions o = parity_options();
-  dist::DataParallelConfig cfg;
-  cfg.devices = 4;
-  cfg.global_batch = 8;
-  cfg.cluster = sim::nvlink_cluster_spec(4);
-  cfg.train = parity_train_config(2);
-  dist::DataParallelTrainer dp(factory, o, cfg);
+  const auto cfg = dp_config(4, 8, sim::nvlink_cluster_spec(4), parity_train_config(2));
+  dist::HybridParallelTrainer dp(factory, o, cfg);
   auto report = dp.run();
 
   ASSERT_EQ(report.stats.size(), 2u);
-  ASSERT_EQ(report.device_stats[0].size(), 4u);
+  ASSERT_EQ(report.cell_stats[0][0].size(), 4u);
   for (const auto& agg : report.stats) {
     EXPECT_GT(agg.p2p_bytes, 0u);
     EXPECT_GT(agg.allreduce_seconds, 0.0);
     EXPECT_GT(agg.seconds, 0.0);
   }
-  for (const auto& st : report.device_stats[0]) {
+  for (const auto& st : report.cell_stats[0][0]) {
     EXPECT_GT(st.p2p_bytes, 0u);
     EXPECT_GT(st.allreduce_seconds, 0.0);
   }
   // Per-step telemetry is attributed to its device and replica column.
-  EXPECT_EQ(dp.runtime(3).step_telemetry().front().device_id, 3);
-  EXPECT_EQ(dp.runtime(3).step_telemetry().front().replica, 3);
-  EXPECT_EQ(dp.runtime(3).step_telemetry().front().stage, 0);
+  EXPECT_EQ(dp.runtime(0, 3).step_telemetry().front().device_id, 3);
+  EXPECT_EQ(dp.runtime(0, 3).step_telemetry().front().replica, 3);
+  EXPECT_EQ(dp.runtime(0, 3).step_telemetry().front().stage, 0);
 }
 
 TEST(DataParallel, SimModeScalesOut) {
@@ -403,12 +397,8 @@ TEST(DataParallel, SimModeScalesOut) {
   auto factory = [](int batch) { return graph::build_mini_alexnet(batch); };
   core::RuntimeOptions o = core::make_policy(core::PolicyPreset::kSuperNeurons);
   o.real = false;
-  dist::DataParallelConfig cfg;
-  cfg.devices = 4;
-  cfg.global_batch = 64;
-  cfg.cluster = sim::nvlink_cluster_spec(4);
-  cfg.train = parity_train_config(2);
-  dist::DataParallelTrainer dp(factory, o, cfg);
+  const auto cfg = dp_config(4, 64, sim::nvlink_cluster_spec(4), parity_train_config(2));
+  dist::HybridParallelTrainer dp(factory, o, cfg);
   auto report = dp.run();
   EXPECT_EQ(report.losses[0], 0.0);  // unbacked: no numerics
   EXPECT_GT(report.stats[0].seconds, 0.0);
@@ -418,11 +408,8 @@ TEST(DataParallel, SimModeScalesOut) {
 TEST(DataParallel, RejectsIndivisibleBatch) {
   auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
   core::RuntimeOptions o = parity_options();
-  dist::DataParallelConfig cfg;
-  cfg.devices = 3;
-  cfg.global_batch = 8;
-  cfg.train = parity_train_config(1);
-  EXPECT_THROW(dist::DataParallelTrainer(factory, o, cfg), std::invalid_argument);
+  const auto cfg = dp_config(3, 8, sim::ClusterSpec{}, parity_train_config(1));
+  EXPECT_THROW(dist::HybridParallelTrainer(factory, o, cfg), std::invalid_argument);
 }
 
 }  // namespace

@@ -4,17 +4,17 @@
 // over the combined batch (losses AND weights), composing the data-parallel
 // and pipeline-parallel parity machinery (pairwise microbatch combine inside
 // a replica, halving-doubling all-reduce across a stage's replicas). Plus:
-// grid telemetry, degenerate axes, memory-pressure invariance, and sim-mode
-// scale-out.
+// grid telemetry and its aggregation, memory-pressure invariance, and
+// sim-mode scale-out. The degenerate 1 x N and S x 1 geometries have their
+// own suites (test_dist, test_pipeline).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
 
-#include "dist/data_parallel.hpp"
 #include "dist/hybrid_parallel.hpp"
-#include "dist/pipeline_parallel.hpp"
 #include "graph/zoo.hpp"
 #include "train/trainer.hpp"
 
@@ -139,35 +139,6 @@ TEST(HybridParallel, FanJoinNetMatchesSingleDevice) {
   EXPECT_LT(rep.last_loss(), rep.first_loss());
 }
 
-TEST(HybridParallel, DegenerateAxesReduceToThePureTrainers) {
-  // S=1 is microbatched data parallelism; R=1 is the plain pipeline. Both
-  // must reproduce the dedicated trainers' losses bit for bit.
-  auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-  core::RuntimeOptions o = parity_options();
-
-  {
-    dist::DataParallelConfig dp_cfg;
-    dp_cfg.devices = 2;
-    dp_cfg.global_batch = 8;
-    dp_cfg.cluster = sim::pcie_cluster_spec(2);
-    dp_cfg.train = parity_train_config(4);
-    dist::DataParallelTrainer dp(factory, o, dp_cfg);
-    dist::HybridParallelTrainer hyb(factory, o, hybrid_config(1, 2, 1, 8, 4));
-    EXPECT_EQ(dp.run().losses, hyb.run().losses);
-  }
-  {
-    dist::PipelineParallelConfig pp_cfg;
-    pp_cfg.stages = 2;
-    pp_cfg.microbatches = 4;
-    pp_cfg.global_batch = 8;
-    pp_cfg.cluster = sim::pcie_cluster_spec(2);
-    pp_cfg.train = parity_train_config(4);
-    dist::PipelineParallelTrainer pipe(factory, o, pp_cfg);
-    dist::HybridParallelTrainer hyb(factory, o, hybrid_config(2, 1, 4, 8, 4));
-    EXPECT_EQ(pipe.run().losses, hyb.run().losses);
-  }
-}
-
 TEST(HybridParallel, ReplicasStayInBitwiseLockstep) {
   auto factory = [](int batch) { return graph::build_tiny_linear(batch, 16); };
   dist::HybridParallelTrainer hyb(factory, parity_options(), hybrid_config(2, 2, 2, 8, 12));
@@ -227,6 +198,80 @@ TEST(HybridParallel, GridTelemetryIsVisiblePerCell) {
   // The downstream stage idles during fill: its bubble must be visible.
   EXPECT_GT(rep.stats[1].bubble_seconds, 0.0);
   EXPECT_GT(rep.stats[1].allreduce_seconds, 0.0);
+}
+
+TEST(HybridParallel, GridAggregateSumsEveryCellCounter) {
+  // Pool-constrained 2 x 2 grid with peer staging: every cell evicts,
+  // refetches, hits its tensor cache and stages over P2P. The grid aggregate
+  // must carry each additive counter as the sum over its cells and each peak
+  // as the max — no counter may be silently dropped.
+  auto factory = [](int batch) { return graph::build_mini_alexnet(batch); };
+  core::RuntimeOptions o = parity_options();
+  o.recompute = core::RecomputeMode::kNone;
+  o.use_liveness = false;
+  o.device_capacity = 3ull << 18;
+  auto cfg = hybrid_config(2, 2, 2, 32, 2);
+  cfg.cluster = sim::nvlink_cluster_spec(4);
+  cfg.boundaries = {9};
+  cfg.peer_staging = true;
+  dist::HybridParallelTrainer hyb(factory, o, cfg);
+  auto rep = hyb.run();
+
+  for (size_t it = 0; it < rep.stats.size(); ++it) {
+    core::IterationStats sum;
+    for (const auto& row : rep.cell_stats[it]) {
+      for (const auto& c : row) {
+        sum.peak_mem = std::max(sum.peak_mem, c.peak_mem);
+        sum.host_peak = std::max(sum.host_peak, c.host_peak);
+        sum.bytes_d2h += c.bytes_d2h;
+        sum.bytes_h2d += c.bytes_h2d;
+        sum.extra_forwards += c.extra_forwards;
+        sum.evictions += c.evictions;
+        sum.cache_hits += c.cache_hits;
+        sum.cache_misses += c.cache_misses;
+        sum.allocs += c.allocs;
+        sum.malloc_seconds += c.malloc_seconds;
+        sum.dma_copies += c.dma_copies;
+        sum.d2h_seconds += c.d2h_seconds;
+        sum.h2d_seconds += c.h2d_seconds;
+        sum.peer_stage_count += c.peer_stage_count;
+        sum.peer_stage_bytes += c.peer_stage_bytes;
+        sum.peer_fetch_count += c.peer_fetch_count;
+        sum.peer_spill_count += c.peer_spill_count;
+        sum.p2p_bytes += c.p2p_bytes;
+        sum.p2p_seconds += c.p2p_seconds;
+        sum.bubble_seconds += c.bubble_seconds;
+      }
+    }
+    const core::IterationStats& agg = rep.stats[it];
+    EXPECT_EQ(agg.peak_mem, sum.peak_mem) << "iteration " << it;
+    EXPECT_EQ(agg.host_peak, sum.host_peak);
+    EXPECT_EQ(agg.bytes_d2h, sum.bytes_d2h);
+    EXPECT_EQ(agg.bytes_h2d, sum.bytes_h2d);
+    EXPECT_EQ(agg.extra_forwards, sum.extra_forwards);
+    EXPECT_EQ(agg.evictions, sum.evictions);
+    EXPECT_EQ(agg.cache_hits, sum.cache_hits);
+    EXPECT_EQ(agg.cache_misses, sum.cache_misses);
+    EXPECT_EQ(agg.allocs, sum.allocs);
+    EXPECT_EQ(agg.malloc_seconds, sum.malloc_seconds);
+    EXPECT_EQ(agg.dma_copies, sum.dma_copies);
+    EXPECT_EQ(agg.d2h_seconds, sum.d2h_seconds);
+    EXPECT_EQ(agg.h2d_seconds, sum.h2d_seconds);
+    EXPECT_EQ(agg.peer_stage_count, sum.peer_stage_count);
+    EXPECT_EQ(agg.peer_stage_bytes, sum.peer_stage_bytes);
+    EXPECT_EQ(agg.peer_fetch_count, sum.peer_fetch_count);
+    EXPECT_EQ(agg.peer_spill_count, sum.peer_spill_count);
+    EXPECT_EQ(agg.p2p_bytes, sum.p2p_bytes);
+    EXPECT_EQ(agg.p2p_seconds, sum.p2p_seconds);
+    EXPECT_EQ(agg.bubble_seconds, sum.bubble_seconds);
+    // The geometry must actually exercise the counters it pins.
+    EXPECT_GT(sum.evictions, 0u);
+    EXPECT_GT(sum.cache_hits, 0u);
+    EXPECT_GT(sum.cache_misses, 0u);
+    EXPECT_GT(sum.d2h_seconds, 0.0);
+    EXPECT_GT(sum.h2d_seconds, 0.0);
+    EXPECT_GT(sum.peer_stage_count, 0u);
+  }
 }
 
 TEST(HybridParallel, SimModeScalesToZooNets) {

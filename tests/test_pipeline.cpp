@@ -1,4 +1,5 @@
-// PipelineParallelTrainer tests. Flagship invariant: cutting a net across
+// Pipeline-parallel tests: the S x 1 column geometry of
+// dist::HybridParallelTrainer. Flagship invariant: cutting a net across
 // pool-backed pipeline stages and microbatching the batch NEVER changes
 // training results — 2-stage x M-microbatch training is bit-identical to a
 // single-device run over the combined batch (losses AND weights), extending
@@ -11,7 +12,7 @@
 #include <memory>
 #include <vector>
 
-#include "dist/pipeline_parallel.hpp"
+#include "dist/hybrid_parallel.hpp"
 #include "graph/zoo.hpp"
 #include "train/trainer.hpp"
 
@@ -38,10 +39,12 @@ train::TrainConfig parity_train_config(int iterations) {
   return tc;
 }
 
-dist::PipelineParallelConfig pipe_config(int stages, int microbatches, int global_batch,
-                                         int iterations) {
-  dist::PipelineParallelConfig cfg;
+/// A plain pipeline is one replica column of the grid.
+dist::HybridParallelConfig pipe_config(int stages, int microbatches, int global_batch,
+                                       int iterations) {
+  dist::HybridParallelConfig cfg;
   cfg.stages = stages;
+  cfg.replicas = 1;
   cfg.microbatches = microbatches;
   cfg.global_batch = global_batch;
   cfg.cluster = sim::pcie_cluster_spec(stages);
@@ -49,10 +52,18 @@ dist::PipelineParallelConfig pipe_config(int stages, int microbatches, int globa
   return cfg;
 }
 
-void expect_params_match(core::Runtime& single, dist::PipelineParallelTrainer& pipe) {
+/// Per-stage stats of one iteration: the single column of its cell grid.
+std::vector<core::IterationStats> stage_stats(
+    const std::vector<std::vector<core::IterationStats>>& grid) {
+  std::vector<core::IterationStats> column;
+  for (const auto& row : grid) column.push_back(row.front());
+  return column;
+}
+
+void expect_params_match(core::Runtime& single, dist::HybridParallelTrainer& pipe) {
   // Every stage parameter must end bit-identical to its full-net namesake.
   for (int s = 0; s < pipe.stages(); ++s) {
-    core::Runtime& rt = pipe.runtime(s);
+    core::Runtime& rt = pipe.runtime(s, 0);
     for (const auto& l : rt.net().layers()) {
       for (const auto* p : l->params()) {
         const tensor::Tensor* ref = nullptr;
@@ -82,8 +93,7 @@ TEST(PipelineParallel, TwoStagesFourMicrobatchesMatchSingleDeviceBitForBit) {
   auto single = trainer.run();
 
   // Two pipeline stages, microbatched.
-  dist::PipelineParallelTrainer pipe(factory, o,
-                                     pipe_config(2, kMicrobatches, kGlobalBatch, kIters));
+  dist::HybridParallelTrainer pipe(factory, o, pipe_config(2, kMicrobatches, kGlobalBatch, kIters));
   auto piped = pipe.run();
 
   ASSERT_EQ(single.losses.size(), piped.losses.size());
@@ -98,8 +108,7 @@ TEST(PipelineParallel, MicrobatchCountDoesNotChangeResults) {
   // reduction: M=2 and M=4 must produce identical trajectories.
   auto run = [&](int microbatches) {
     auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-    dist::PipelineParallelTrainer pipe(factory, parity_options(),
-                                       pipe_config(2, microbatches, 8, 4));
+    dist::HybridParallelTrainer pipe(factory, parity_options(), pipe_config(2, microbatches, 8, 4));
     return pipe.run().losses;
   };
   EXPECT_EQ(run(2), run(4));
@@ -114,7 +123,7 @@ TEST(PipelineParallel, FanJoinNetMatchesSingleDevice) {
   train::Trainer trainer(rt, parity_train_config(kIters));
   auto single = trainer.run();
 
-  dist::PipelineParallelTrainer pipe(factory, o, pipe_config(2, 2, kGlobalBatch, kIters));
+  dist::HybridParallelTrainer pipe(factory, o, pipe_config(2, 2, kGlobalBatch, kIters));
   auto piped = pipe.run();
   ASSERT_EQ(single.losses.size(), piped.losses.size());
   for (size_t i = 0; i < single.losses.size(); ++i) {
@@ -125,11 +134,11 @@ TEST(PipelineParallel, FanJoinNetMatchesSingleDevice) {
 
 TEST(PipelineParallel, ThreeStagesTrainAndLearn) {
   auto factory = [](int batch) { return graph::build_tiny_linear(batch, 16); };
-  dist::PipelineParallelTrainer pipe(factory, parity_options(), pipe_config(3, 4, 8, 10));
+  dist::HybridParallelTrainer pipe(factory, parity_options(), pipe_config(3, 4, 8, 10));
   auto rep = pipe.run();
   EXPECT_LT(rep.last_loss(), rep.first_loss());
   // All three stages moved activations/gradients over the fabric.
-  for (const auto& st : rep.stage_stats.back()) EXPECT_GT(st.p2p_bytes, 0u);
+  for (const auto& st : stage_stats(rep.cell_stats.back())) EXPECT_GT(st.p2p_bytes, 0u);
 }
 
 TEST(PipelineParallel, MemoryPressureInsideStagesDoesNotChangeLosses) {
@@ -140,7 +149,7 @@ TEST(PipelineParallel, MemoryPressureInsideStagesDoesNotChangeLosses) {
     auto factory = [](int batch) { return graph::build_tiny_linear(batch, 16); };
     core::RuntimeOptions o = parity_options();
     o.device_capacity = capacity;
-    dist::PipelineParallelTrainer pipe(factory, o, pipe_config(2, 2, 8, 5));
+    dist::HybridParallelTrainer pipe(factory, o, pipe_config(2, 2, 8, 5));
     return pipe.run().losses;
   };
   EXPECT_EQ(run(64ull << 20), run(1ull << 20));
@@ -154,10 +163,10 @@ TEST(PipelineParallel, ExplicitBoundaryOverrideIsUsed) {
 
   auto cfg = pipe_config(2, 2, 8, 1);
   cfg.boundaries = {cut};
-  dist::PipelineParallelTrainer pipe(factory, parity_options(), cfg);
+  dist::HybridParallelTrainer pipe(factory, parity_options(), cfg);
   ASSERT_EQ(pipe.plan().cuts.size(), 1u);
   EXPECT_EQ(pipe.plan().cuts[0], cut);
-  EXPECT_EQ(static_cast<int>(pipe.stage_net(0).num_layers()), cut);
+  EXPECT_EQ(static_cast<int>(pipe.stage_net(0, 0).num_layers()), cut);
   auto rep = pipe.run();
   EXPECT_EQ(rep.losses.size(), 1u);
 }
@@ -169,13 +178,9 @@ TEST(PipelineParallel, BubbleFractionShrinksAsMicrobatchesGrow) {
     auto factory = [](int batch) { return graph::build_mini_alexnet(batch); };
     core::RuntimeOptions o = core::make_policy(core::PolicyPreset::kSuperNeurons);
     o.real = false;
-    auto cfg = dist::PipelineParallelConfig();
-    cfg.stages = 2;
-    cfg.microbatches = microbatches;
-    cfg.global_batch = 32;
+    auto cfg = pipe_config(2, microbatches, 32, 2);
     cfg.cluster = sim::nvlink_cluster_spec(2);
-    cfg.train = parity_train_config(2);
-    dist::PipelineParallelTrainer pipe(factory, o, cfg);
+    dist::HybridParallelTrainer pipe(factory, o, cfg);
     auto rep = pipe.run();
     const auto& agg = rep.stats.back();
     EXPECT_GT(agg.bubble_seconds, 0.0);
@@ -190,33 +195,33 @@ TEST(PipelineParallel, SimModeScalesToZooNets) {
   o.real = false;
   auto cfg = pipe_config(4, 4, 64, 1);
   cfg.cluster = sim::nvlink_cluster_spec(4);
-  dist::PipelineParallelTrainer pipe(factory, o, cfg);
+  dist::HybridParallelTrainer pipe(factory, o, cfg);
   auto rep = pipe.run();
   EXPECT_EQ(rep.losses[0], 0.0);  // unbacked: no numerics
   EXPECT_GT(rep.stats[0].seconds, 0.0);
   EXPECT_GT(rep.stats[0].p2p_bytes, 0u);
   EXPECT_GT(rep.stats[0].p2p_seconds, 0.0);
-  ASSERT_EQ(rep.stage_stats[0].size(), 4u);
+  ASSERT_EQ(rep.cell_stats[0].size(), 4u);
 }
 
 TEST(PipelineParallel, TelemetryIsVisiblePerStage) {
   auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
-  dist::PipelineParallelTrainer pipe(factory, parity_options(), pipe_config(2, 4, 8, 2));
+  dist::HybridParallelTrainer pipe(factory, parity_options(), pipe_config(2, 4, 8, 2));
   auto rep = pipe.run();
   ASSERT_EQ(rep.stats.size(), 2u);
-  ASSERT_EQ(rep.stage_stats[0].size(), 2u);
+  ASSERT_EQ(rep.cell_stats[0].size(), 2u);
   // Stage 0 streams activations, stage 1 streams gradients: both send.
-  for (const auto& st : rep.stage_stats[1]) {
+  for (const auto& st : stage_stats(rep.cell_stats[1])) {
     EXPECT_GT(st.p2p_bytes, 0u);
     EXPECT_GT(st.seconds, 0.0);
   }
   // The downstream stage idles during fill: its bubble must be visible.
-  EXPECT_GT(rep.stage_stats[1][1].bubble_seconds, 0.0);
+  EXPECT_GT(stage_stats(rep.cell_stats[1])[1].bubble_seconds, 0.0);
   EXPECT_GT(rep.stats[1].bubble_seconds, 0.0);
   // Per-step telemetry is attributed to its cluster device and grid row.
-  EXPECT_EQ(pipe.runtime(1).step_telemetry().front().device_id, 1);
-  EXPECT_EQ(pipe.runtime(1).step_telemetry().front().stage, 1);
-  EXPECT_EQ(pipe.runtime(1).step_telemetry().front().replica, 0);
+  EXPECT_EQ(pipe.runtime(1, 0).step_telemetry().front().device_id, 1);
+  EXPECT_EQ(pipe.runtime(1, 0).step_telemetry().front().stage, 1);
+  EXPECT_EQ(pipe.runtime(1, 0).step_telemetry().front().replica, 0);
 }
 
 TEST(PipelineParallel, OneF1BMatchesSingleDeviceBitForBit) {
@@ -235,7 +240,7 @@ TEST(PipelineParallel, OneF1BMatchesSingleDeviceBitForBit) {
 
   auto cfg = pipe_config(2, kMicrobatches, kGlobalBatch, kIters);
   cfg.schedule = dist::SchedulePolicy::k1F1B;
-  dist::PipelineParallelTrainer pipe(factory, o, cfg);
+  dist::HybridParallelTrainer pipe(factory, o, cfg);
   auto piped = pipe.run();
 
   ASSERT_EQ(single.losses.size(), piped.losses.size());
@@ -252,7 +257,7 @@ TEST(PipelineParallel, OneF1BThreeStagesMatchGPipeBitForBit) {
     auto factory = [](int batch) { return graph::build_tiny_linear(batch, 16); };
     auto cfg = pipe_config(3, 4, 8, 5);
     cfg.schedule = pol;
-    dist::PipelineParallelTrainer pipe(factory, parity_options(), cfg);
+    dist::HybridParallelTrainer pipe(factory, parity_options(), cfg);
     return pipe.run().losses;
   };
   EXPECT_EQ(run(dist::SchedulePolicy::kGPipe), run(dist::SchedulePolicy::k1F1B));
@@ -266,7 +271,7 @@ TEST(PipelineParallel, OneF1BStashStaysStrictlyBelowGPipe) {
     auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
     auto cfg = pipe_config(3, 8, 16, 1);
     cfg.schedule = pol;
-    return std::make_unique<dist::PipelineParallelTrainer>(factory, parity_options(), cfg);
+    return std::make_unique<dist::HybridParallelTrainer>(factory, parity_options(), cfg);
   };
   auto gpipe = build(dist::SchedulePolicy::kGPipe);
   auto f1b = build(dist::SchedulePolicy::k1F1B);
@@ -292,7 +297,7 @@ TEST(PipelineParallel, OneF1BShrinksTheBubble) {
     auto cfg = pipe_config(4, 8, 64, 2);
     cfg.cluster = sim::nvlink_cluster_spec(4);
     cfg.schedule = pol;
-    dist::PipelineParallelTrainer pipe(factory, o, cfg);
+    dist::HybridParallelTrainer pipe(factory, o, cfg);
     auto rep = pipe.run();
     const auto& st = rep.stats.back();
     return st.bubble_seconds / (st.seconds * 4);
@@ -308,16 +313,16 @@ TEST(PipelineParallel, PhaseTelemetryAttributesTheBubble) {
   auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
   auto cfg = pipe_config(2, 4, 8, 2);
   cfg.schedule = dist::SchedulePolicy::k1F1B;
-  dist::PipelineParallelTrainer pipe(factory, parity_options(), cfg);
+  dist::HybridParallelTrainer pipe(factory, parity_options(), cfg);
   auto rep = pipe.run();
-  for (const auto& st : rep.stage_stats.back()) {
+  for (const auto& st : stage_stats(rep.cell_stats.back())) {
     EXPECT_DOUBLE_EQ(
         st.bubble_seconds,
         st.bubble_fill_seconds + st.bubble_steady_seconds + st.bubble_drain_seconds);
   }
   // Per-step telemetry carries the schedule phase and microbatch stamps.
   bool saw_phase = false;
-  for (const auto& t : pipe.runtime(1).step_telemetry()) {
+  for (const auto& t : pipe.runtime(1, 0).step_telemetry()) {
     if (t.sched_phase >= 0) {
       saw_phase = true;
       EXPECT_GE(t.microbatch, 0);
@@ -344,11 +349,11 @@ TEST(PipelineParallel, OneF1BWithPeerStagingKeepsResultsAndStages) {
     cfg.boundaries = {9};
     cfg.schedule = pol;
     cfg.peer_staging = staging;
-    dist::PipelineParallelTrainer pipe(factory, o, cfg);
+    dist::HybridParallelTrainer pipe(factory, o, cfg);
     auto rep = pipe.run();
     uint64_t staged = 0;
     for (int s = 0; s < pipe.stages(); ++s) {
-      staged += pipe.runtime(s).tensor_pool().peer_stage_count();
+      staged += pipe.runtime(s, 0).tensor_pool().peer_stage_count();
     }
     return std::tuple(rep.losses, staged);
   };
@@ -366,12 +371,12 @@ TEST(PipelineParallel, OneF1BWithPeerStagingKeepsResultsAndStages) {
 TEST(PipelineParallel, RejectsBadConfigs) {
   auto factory = [](int batch) { return graph::build_tiny_linear(batch); };
   core::RuntimeOptions o = parity_options();
-  EXPECT_THROW(dist::PipelineParallelTrainer(factory, o, pipe_config(2, 3, 8, 1)),
+  EXPECT_THROW(dist::HybridParallelTrainer(factory, o, pipe_config(2, 3, 8, 1)),
                std::invalid_argument);
   auto cfg = pipe_config(3, 2, 8, 1);
   cfg.boundaries = {2};  // 3 stages need 2 boundaries
-  EXPECT_THROW(dist::PipelineParallelTrainer(factory, o, cfg), std::invalid_argument);
-  EXPECT_THROW(dist::PipelineParallelTrainer(factory, o, pipe_config(0, 2, 8, 1)),
+  EXPECT_THROW(dist::HybridParallelTrainer(factory, o, cfg), std::invalid_argument);
+  EXPECT_THROW(dist::HybridParallelTrainer(factory, o, pipe_config(0, 2, 8, 1)),
                std::invalid_argument);
 }
 

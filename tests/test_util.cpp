@@ -105,6 +105,23 @@ TEST(ThreadPool, EmptyRangeIsNoop) {
   EXPECT_EQ(calls, 0);
 }
 
+TEST(ThreadPool, ManyTinyParallelForsComplete) {
+  // Completion-handshake stress: each call's done state lives on the
+  // caller's stack, so a worker that still touches it after the caller
+  // returns is a use-after-scope. Pool sizes are explicit so the threaded
+  // path runs whatever the host's core count.
+  for (size_t threads : {size_t{2}, size_t{4}}) {
+    ThreadPool pool(threads);
+    ASSERT_EQ(pool.size(), threads);
+    for (int rep = 0; rep < 5000; ++rep) {
+      std::atomic<long> sum{0};
+      const size_t n = 2 + static_cast<size_t>(rep) % (2 * threads);
+      pool.parallel_for(0, n, [&](size_t i) { sum.fetch_add(static_cast<long>(i) + 1); });
+      ASSERT_EQ(sum.load(), static_cast<long>(n * (n + 1) / 2)) << "rep " << rep;
+    }
+  }
+}
+
 TEST(ThreadPool, NestedInvocationsFromGlobal) {
   // Kernels call the global pool from bench/test threads repeatedly.
   auto& pool = ThreadPool::global();
