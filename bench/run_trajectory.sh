@@ -10,7 +10,7 @@
 #
 # Usage:
 #   bench/run_trajectory.sh [--build BUILDDIR] [--out FILE] [--point N]
-#                           [--tier small|full] [--repeats R] [--no-sweep]
+#                           [--tier small|full] [--repeats R]
 #                           [--trace-out DIR]
 #       run the four gated benches (--json) plus bench_sweep, merge the five
 #       sections into FILE (default: BENCH_9.json at the repo root,
@@ -19,8 +19,7 @@
 #       trace_diff attribution
 #   bench/run_trajectory.sh --merge DIR [--out FILE] [--point N]
 #       skip the runs and merge DIR/{pipeline_stages,hybrid_grid,
-#       stream_overlap,prefetch_lookahead,sweep}.json (CI reuses bench-out/;
-#       with --no-sweep, merges a legacy 4-section unversioned point)
+#       stream_overlap,prefetch_lookahead,sweep}.json (CI reuses bench-out/)
 #   bench/run_trajectory.sh --diff BASELINE [--candidate FILE] [--report OUT]
 #       run trajectory_diff BASELINE -> candidate (default candidate: the
 #       default --out path); exits nonzero on out-of-band regressions
@@ -37,7 +36,6 @@ out=""
 merge_dir=""
 tier="small"
 repeats=3
-with_sweep=1
 trace_out=""
 diff_baseline=""
 diff_candidate=""
@@ -52,7 +50,6 @@ while [ $# -gt 0 ]; do
     --point)     point="$2"; shift 2 ;;
     --tier)      tier="$2"; shift 2 ;;
     --repeats)   repeats="$2"; shift 2 ;;
-    --no-sweep)  with_sweep=0; shift ;;
     --trace-out) trace_out="$2"; shift 2 ;;
     --diff)      diff_baseline="$2"; shift 2 ;;
     --candidate) diff_candidate="$2"; shift 2 ;;
@@ -93,19 +90,16 @@ if [ -z "$merge_dir" ]; then
     esac
     "$bin" "${extra[@]}" --json "$merge_dir/$b.json" > "$merge_dir/$b.txt"
   done
-  if [ "$with_sweep" -eq 1 ]; then
-    bin="$build_dir/bench_sweep"
-    [ -x "$bin" ] || { echo "missing $bin (build the benches first)" >&2; exit 1; }
-    echo "== bench_sweep ($tier tier, $repeats repeats)"
-    sweep_extra=()
-    [ -n "$trace_out" ] && sweep_extra+=(--trace-out "$trace_out")
-    "$bin" --tier "$tier" --repeats "$repeats" --point "$point" \
-           "${sweep_extra[@]}" --json "$merge_dir/sweep.json" > "$merge_dir/sweep.txt"
-  fi
+  bin="$build_dir/bench_sweep"
+  [ -x "$bin" ] || { echo "missing $bin (build the benches first)" >&2; exit 1; }
+  echo "== bench_sweep ($tier tier, $repeats repeats)"
+  sweep_extra=()
+  [ -n "$trace_out" ] && sweep_extra+=(--trace-out "$trace_out")
+  "$bin" --tier "$tier" --repeats "$repeats" --point "$point" \
+         "${sweep_extra[@]}" --json "$merge_dir/sweep.json" > "$merge_dir/sweep.txt"
 fi
 
-sections=("${benches[@]}")
-[ "$with_sweep" -eq 1 ] && sections+=(sweep)
+sections=("${benches[@]}" sweep)
 
 # Fail loudly, naming EVERY missing/empty input, before touching $out — a
 # partial merge would commit a trajectory point that silently dropped a
@@ -125,13 +119,11 @@ fi
 # Merge: one top-level key per section, bodies embedded verbatim (each bench
 # emits a self-contained JSON object), indented one level for readability.
 # Write to a temp file and move into place so a mid-merge failure can never
-# leave a truncated $out behind. A sweep-bearing point is schema_version 1;
-# --no-sweep keeps the legacy unversioned 4-section shape for comparison
-# against pre-sweep baselines.
+# leave a truncated $out behind. Every point is schema_version 1.
 {
   printf '{\n'
   printf '  "trajectory_point": %d,\n' "$point"
-  [ "$with_sweep" -eq 1 ] && printf '  "schema_version": 1,\n'
+  printf '  "schema_version": 1,\n'
   first=1
   for b in "${sections[@]}"; do
     [ $first -eq 1 ] || printf ',\n'

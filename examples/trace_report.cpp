@@ -252,13 +252,8 @@ int main(int argc, char** argv) {
   hyb.attach_trace(nullptr);
 
   // Trainer-side scalars the analyzer must reproduce from spans alone.
-  double bubble_total = 0.0, bubble_fill = 0.0, bubble_steady = 0.0, bubble_drain = 0.0;
-  for (const auto& st : rep.stats) {
-    bubble_total += st.bubble_seconds;
-    bubble_fill += st.bubble_fill_seconds;
-    bubble_steady += st.bubble_steady_seconds;
-    bubble_drain += st.bubble_drain_seconds;
-  }
+  core::IterationStats run_total;
+  for (const auto& st : rep.stats) core::fold(run_total, st, core::FoldMode::kSerial);
   const double exposed_last = rep.stats.back().allreduce_exposed_seconds;
 
   obs::TraceAnalyzer an(session);
@@ -267,10 +262,10 @@ int main(int argc, char** argv) {
   const obs::Attribution total = an.total();
   std::printf("\nreconciliation (trainer scalars vs span-derived):\n");
   bool ok = true;
-  check("bubble", bubble_total, total.bubble_seconds, &ok);
-  check("bubble fill", bubble_fill, total.bubble_fill_seconds, &ok);
-  check("bubble steady", bubble_steady, total.bubble_steady_seconds, &ok);
-  check("bubble drain", bubble_drain, total.bubble_drain_seconds, &ok);
+  check("bubble", run_total.bubble_seconds, total.bubble_seconds, &ok);
+  check("bubble fill", run_total.bubble_fill_seconds, total.bubble_fill_seconds, &ok);
+  check("bubble steady", run_total.bubble_steady_seconds, total.bubble_steady_seconds, &ok);
+  check("bubble drain", run_total.bubble_drain_seconds, total.bubble_drain_seconds, &ok);
   // The exposed-collective scalar is per iteration; the span algebra anchors
   // on the LAST drain-end marker, so compare the final iteration.
   check("allreduce exposed (last it)", exposed_last, an.exposed_collective_seconds(), &ok);

@@ -580,18 +580,8 @@ IterationStats Runtime::end_span(const StatSpan& s) {
 }
 
 IterationStats Runtime::train_iteration(const float* input, const int32_t* labels) {
-  begin_iteration();
-  const StatSpan span = begin_span();
-
-  for (const auto& step : net_.steps()) {
-    exec_step(step, input, labels, &iter_loss_);
-    post_step(step);
-  }
-
-  // Drain outstanding DMA so the next iteration starts clean.
-  pool_->drain();
-
-  IterationStats st = end_span(span);
+  IterationStats st = forward_pass(input, labels);
+  fold(st, backward_pass(labels), FoldMode::kSerial);
   advance_iteration();
   return st;
 }
@@ -647,15 +637,14 @@ IterationStats Runtime::forward_iteration(const float* input, const int32_t* lab
   telemetry_.clear();
   zeroed_grads_.clear();
   loss_sum_ = 0.0;
+  iter_loss_ = 0.0;
   iter_peak_ = pool_->allocator().in_use();
-  const auto c0 = machine_.counters();
-  const double t0 = machine_.now();
+  const StatSpan span = begin_span();
 
   const int nfwd = static_cast<int>(net_.route().size());
-  double loss = 0.0;
   for (const auto& step : net_.steps()) {
     if (step.index >= nfwd) break;
-    exec_step(step, input, labels, &loss);
+    exec_step(step, input, labels, &iter_loss_);
     // Inference liveness: free every non-persistent tensor at its last
     // FORWARD use — backward dependencies do not exist here.
     for (uint64_t uid : fwd_free_lists_[static_cast<size_t>(step.index)]) {
@@ -681,17 +670,7 @@ IterationStats Runtime::forward_iteration(const float* input, const int32_t* lab
     p->residency = tensor::Residency::kNone;
   }
 
-  const auto c1 = machine_.counters();
-  IterationStats st;
-  st.loss = loss;
-  st.loss_sum = loss_sum_;
-  st.seconds = machine_.now() - t0;
-  st.peak_mem = iter_peak_;
-  st.bytes_d2h = c1.bytes_d2h - c0.bytes_d2h;
-  st.bytes_h2d = c1.bytes_h2d - c0.bytes_h2d;
-  st.host_peak = pool_->host_pool().peak_in_use();
-  st.d2h_seconds = c1.seconds_d2h - c0.seconds_d2h;
-  st.h2d_seconds = c1.seconds_h2d - c0.seconds_h2d;
+  const IterationStats st = end_span(span);
   ++iter_;
   inference_mode_ = false;
   return st;

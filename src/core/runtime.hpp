@@ -56,9 +56,11 @@ class Runtime {
   /// if parameters alone exceed capacity.
   void initialize();
 
-  /// Run one forward+backward pass. `input` / `labels` may be null in
-  /// simulation mode. Returns per-iteration stats; per-step telemetry for
-  /// the iteration is kept in step_telemetry().
+  /// Run one forward+backward pass: forward_pass, then backward_pass, then
+  /// advance_iteration — the same machine operations a pipeline stage issues
+  /// one microbatch at a time. `input` / `labels` may be null in simulation
+  /// mode. Returns the two pass spans folded serially (core::fold); per-step
+  /// telemetry for the iteration is kept in step_telemetry().
   IterationStats train_iteration(const float* input, const int32_t* labels);
 
   // --- microbatch-granular passes (pipeline parallelism) --------------------
@@ -127,6 +129,8 @@ class Runtime {
   /// Forward-only pass (inference). Tensors are freed at their last
   /// *forward* use, so the scheduled footprint is far below training's. If
   /// `probs_out` is non-null (real mode) it receives the loss layer's output.
+  /// Returns the pass's full counter span (allocs, evictions, cache traffic,
+  /// stalls, peer staging) like forward_pass does, with the inference loss.
   IterationStats forward_iteration(const float* input, const int32_t* labels,
                                    std::vector<float>* probs_out = nullptr);
 
@@ -182,7 +186,7 @@ class Runtime {
     return producer_[t->uid()];
   }
 
-  /// Reset the per-iteration state forward_pass / train_iteration start from.
+  /// Reset the per-iteration state forward_pass starts a global batch from.
   void begin_iteration();
 
   /// Counter snapshot bracketing a pass; end_span() returns the deltas as

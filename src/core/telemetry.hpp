@@ -5,6 +5,7 @@
 // of that is captured here rather than printf'd, so tests can assert on it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -126,5 +127,51 @@ struct IterationStats {
   double bubble_steady_seconds = 0.0;
   double bubble_drain_seconds = 0.0;
 };
+
+/// How two IterationStats combine: kSerial for spans that ran one after the
+/// other on one device (a cell's passes, successive iterations), kParallel
+/// for spans that ran side by side (the cells of a grid iteration).
+enum class FoldMode { kSerial, kParallel };
+
+namespace fold_rule {
+/// Counters: bytes, events and busy-seconds add in either mode.
+template <class T>
+void sum(T& a, T p, FoldMode) { a += p; }
+/// High-water marks.
+template <class T>
+void max(T& a, T p, FoldMode) { a = std::max(a, p); }
+/// Iteration-scope values (the loss): the later span's reading wins.
+template <class T>
+void last(T& a, T p, FoldMode) { a = p; }
+/// Critical-path times: back-to-back spans add, side-by-side spans overlap.
+template <class T>
+void path(T& a, T p, FoldMode m) { a = m == FoldMode::kSerial ? a + p : std::max(a, p); }
+}  // namespace fold_rule
+
+/// Every IterationStats field with its fold rule, exactly once.
+#define SN_ITERATION_STATS_FOLD(X)                                                  \
+  X(loss, last) X(loss_sum, last) X(seconds, path) X(peak_mem, max)                 \
+  X(bytes_d2h, sum) X(bytes_h2d, sum) X(extra_forwards, sum) X(evictions, sum)      \
+  X(cache_hits, sum) X(cache_misses, sum) X(allocs, sum) X(malloc_seconds, sum)     \
+  X(stall_seconds, path) X(host_peak, max) X(peer_stage_count, sum)                 \
+  X(peer_stage_bytes, sum) X(peer_fetch_count, sum) X(peer_spill_count, sum)        \
+  X(dma_copies, sum) X(d2h_seconds, sum) X(h2d_seconds, sum) X(p2p_bytes, sum)      \
+  X(allreduce_seconds, path) X(allreduce_exposed_seconds, path) X(p2p_seconds, sum) \
+  X(bubble_seconds, sum) X(bubble_fill_seconds, sum) X(bubble_steady_seconds, sum)  \
+  X(bubble_drain_seconds, sum)
+
+// Every field is 8 bytes wide, so a field added to IterationStats without a
+// row in the table above changes sizeof and stops the build here.
+#define SN_FOLD_FIELD_SIZE(field, rule) +sizeof(IterationStats::field)
+static_assert(sizeof(IterationStats) == 0 SN_ITERATION_STATS_FOLD(SN_FOLD_FIELD_SIZE),
+              "IterationStats field without a fold rule in SN_ITERATION_STATS_FOLD");
+#undef SN_FOLD_FIELD_SIZE
+
+/// Fold span `p` into the running total `a` under each field's rule.
+inline void fold(IterationStats& a, const IterationStats& p, FoldMode mode) {
+#define SN_FOLD_FIELD(field, rule) fold_rule::rule(a.field, p.field, mode);
+  SN_ITERATION_STATS_FOLD(SN_FOLD_FIELD)
+#undef SN_FOLD_FIELD
+}
 
 }  // namespace sn::core

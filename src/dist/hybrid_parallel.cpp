@@ -33,30 +33,6 @@ graph::Layer* layer_by_name(graph::Net& net, const std::string& name) {
   throw std::logic_error("dist: stage net lost layer " + name);
 }
 
-/// Fold `p` into `a`: peaks take the max, every additive counter sums.
-/// Builds both a cell's iteration from its passes and the grid aggregate
-/// from its cells (time/stall/bubble/p2p are set from machine counters at
-/// iteration end — the passes do not cover the trainer's own waits).
-void accumulate(core::IterationStats& a, const core::IterationStats& p) {
-  a.peak_mem = std::max(a.peak_mem, p.peak_mem);
-  a.host_peak = std::max(a.host_peak, p.host_peak);
-  a.bytes_d2h += p.bytes_d2h;
-  a.bytes_h2d += p.bytes_h2d;
-  a.extra_forwards += p.extra_forwards;
-  a.evictions += p.evictions;
-  a.cache_hits += p.cache_hits;
-  a.cache_misses += p.cache_misses;
-  a.allocs += p.allocs;
-  a.malloc_seconds += p.malloc_seconds;
-  a.dma_copies += p.dma_copies;
-  a.d2h_seconds += p.d2h_seconds;
-  a.h2d_seconds += p.h2d_seconds;
-  a.peer_stage_count += p.peer_stage_count;
-  a.peer_stage_bytes += p.peer_stage_bytes;
-  a.peer_fetch_count += p.peer_fetch_count;
-  a.peer_spill_count += p.peer_spill_count;
-}
-
 }  // namespace
 
 HybridParallelTrainer::HybridParallelTrainer(const NetFactory& factory,
@@ -350,6 +326,42 @@ void HybridParallelTrainer::retire_streams(bool force) {
   }
 }
 
+AllreduceHandle HybridParallelTrainer::issue_allreduce(int s, int bucket, int nbuckets) {
+  const int R = cfg_.replicas, M = cfg_.microbatches;
+  const uint64_t elems = grad_elems_[static_cast<size_t>(s)];
+  // Replica r's M snapshots combine (binary counter, ascending m) into its
+  // shard subtree; the row all-reduce (kAuto: halving-doubling for
+  // power-of-two R) combines the R subtrees in ascending rank order —
+  // together exactly the full-batch per-sample pairwise tree when b, M and R
+  // are powers of two (util/pairwise.hpp).
+  if (bucket == 0 && real_ && elems > 0) {
+    for (int r = 0; r < R; ++r) {
+      const size_t c = cell(s, r);
+      util::PairwiseVecAccumulator acc(static_cast<size_t>(elems));
+      for (int m = 0; m < M; ++m) {
+        // push() consumes the leaf in place; the stash is fully rewritten by
+        // next iteration's snapshots.
+        acc.push(grad_stash_[c][static_cast<size_t>(m)].data());
+      }
+      acc.finish(fused_[c].data());
+    }
+  }
+  // Even split, front-loaded remainder — same carving as the ring
+  // algorithm's chunks. Bucketing is element-wise bit-identical to the
+  // unbucketed collective (each element's rank-combine tree is independent
+  // of segmentation).
+  const uint64_t nb = static_cast<uint64_t>(nbuckets);
+  const uint64_t base = elems / nb, rem = elems % nb;
+  const uint64_t b = static_cast<uint64_t>(bucket);
+  const uint64_t off = b * base + std::min(b, rem);
+  const uint64_t len = base + (b < rem ? 1 : 0);
+  std::vector<float*> bufs(static_cast<size_t>(R), nullptr);
+  if (real_ && len > 0) {
+    for (int r = 0; r < R; ++r) bufs[static_cast<size_t>(r)] = fused_[cell(s, r)].data() + off;
+  }
+  return comms_[static_cast<size_t>(s)]->all_reduce_async(bufs, len);
+}
+
 HybridParallelReport HybridParallelTrainer::run() {
   HybridParallelReport report;
   const int S = cfg_.stages, R = cfg_.replicas, M = cfg_.microbatches;
@@ -426,7 +438,7 @@ HybridParallelReport HybridParallelTrainer::run() {
             }
             core::IterationStats f =
                 runtimes_[c]->forward_pass(stage_input(s, r, m), stage_labels(s, r, m));
-            accumulate(cell_st[c], f);
+            core::fold(cell_st[c], f, core::FoldMode::kSerial);
             if (s == S - 1) {
               loss_sums[static_cast<size_t>(r)][static_cast<size_t>(m)] = f.loss_sum;
             }
@@ -467,15 +479,15 @@ HybridParallelReport HybridParallelTrainer::run() {
                 // Re-materialization reads the locally stashed input: valid.
                 runtimes_[c]->mark_external_landed(in_t_[c]);
               }
-              core::IterationStats rf =
-                  runtimes_[c]->forward_pass(stage_input(s, r, m), stage_labels(s, r, m));
-              accumulate(cell_st[c], rf);
+              core::fold(cell_st[c],
+                         runtimes_[c]->forward_pass(stage_input(s, r, m), stage_labels(s, r, m)),
+                         core::FoldMode::kSerial);
             }
             if (s + 1 < S) {
               bubble_ph[c][ph] += receive_gradient(s, r, static_cast<int>(op.phase), m);
             }
-            core::IterationStats b = runtimes_[c]->backward_pass(stage_labels(s, r, m));
-            accumulate(cell_st[c], b);
+            core::fold(cell_st[c], runtimes_[c]->backward_pass(stage_labels(s, r, m)),
+                       core::FoldMode::kSerial);
             if (s + 1 < S) runtimes_[c]->mark_external_pending(out_grad_t_[c]);
             if (s > 0) {
               send_gradient(s, r);
@@ -502,45 +514,16 @@ HybridParallelReport HybridParallelTrainer::run() {
           break;
         }
         case ScheduleOpKind::kBucketReady: {
-          // Stage s's last backward just retired (k1F1B only): combine its
-          // microbatch gradients and issue this bucket's row all-reduce
-          // ASYNCHRONOUSLY — upstream stages keep draining while the
-          // collective's link/add chain plays out in virtual time.
-          // Consecutive buckets chain on the row Communicator.
-          const uint64_t elems = grad_elems_[static_cast<size_t>(s)];
-          if (op.bucket == 0 && real_ && elems > 0) {
-            for (int r = 0; r < R; ++r) {
-              const size_t c = cell(s, r);
-              util::PairwiseVecAccumulator acc(static_cast<size_t>(elems));
-              for (int mm = 0; mm < M; ++mm) {
-                // push() consumes the leaf in place; the stash is fully
-                // rewritten by next iteration's snapshots.
-                acc.push(grad_stash_[c][static_cast<size_t>(mm)].data());
-              }
-              acc.finish(fused_[c].data());
-            }
-          }
-          // Even split, front-loaded remainder — same carving as the ring
-          // algorithm's chunks. Bucketing is element-wise bit-identical to
-          // the unbucketed collective (each element's rank-combine tree is
-          // independent of segmentation).
-          const uint64_t nb = static_cast<uint64_t>(buckets_[static_cast<size_t>(s)]);
-          const uint64_t base = elems / nb, rem = elems % nb;
-          const uint64_t b = static_cast<uint64_t>(op.bucket);
-          const uint64_t off = b * base + std::min(b, rem);
-          const uint64_t len = base + (b < rem ? 1 : 0);
-          std::vector<float*> bufs(static_cast<size_t>(R), nullptr);
-          if (real_ && len > 0) {
-            for (int r = 0; r < R; ++r) {
-              bufs[static_cast<size_t>(r)] = fused_[cell(s, r)].data() + off;
-            }
-          }
+          // Stage s's last backward just retired (k1F1B only): issue this
+          // bucket's row all-reduce ASYNCHRONOUSLY — upstream stages keep
+          // draining while the collective's link/add chain plays out in
+          // virtual time. Consecutive buckets chain on the row Communicator.
           std::vector<double> ar_v0(static_cast<size_t>(R));
           for (int r = 0; r < R; ++r) {
             ar_v0[static_cast<size_t>(r)] = grid_.machine(s, r).now();
           }
           ar_handles[static_cast<size_t>(s)].push_back(
-              comms_[static_cast<size_t>(s)]->all_reduce_async(bufs, len));
+              issue_allreduce(s, op.bucket, buckets_[static_cast<size_t>(s)]));
           for (int r = 0; r < R; ++r) {
             if (auto* rec = grid_.machine(s, r).trace()) {
               char opname[16];
@@ -569,84 +552,41 @@ HybridParallelReport HybridParallelTrainer::run() {
     }
     double ar_end_max = drain_end;
 
-    // --- per-stage update: pairwise microbatch combine, replica all-reduce,
-    // SGD. Replica r's M snapshots combine (binary counter, ascending m)
-    // into its shard subtree; the row all-reduce (kAuto: halving-doubling
-    // for power-of-two R) combines the R subtrees in ascending rank order —
-    // together exactly the full-batch per-sample pairwise tree when b, M
-    // and R are powers of two (util/pairwise.hpp).
+    // --- per-stage update: replica all-reduce, then SGD. A stage whose
+    // schedule issued no buckets during the drain (kGPipe) issues its whole
+    // gradient as one bucket now. Every row then settles its collectives
+    // (await) and measures exposure BEFORE any SGD advances the clocks;
+    // stage rows are disjoint machine sets, so no row's update can move
+    // another row's timeline.
     std::vector<double> allreduce_max(static_cast<size_t>(S), 0.0);
-    if (cfg_.schedule == SchedulePolicy::k1F1B) {
-      // Buckets were combined and issued inside the op loop; settle the
-      // virtual completions (await) and measure exposure BEFORE any SGD
-      // advances the clocks (stage rows are disjoint machine sets).
-      for (int s = 0; s < S; ++s) {
-        for (AllreduceHandle& h : ar_handles[static_cast<size_t>(s)]) {
-          AllreduceStats ar = comms_[static_cast<size_t>(s)]->await(h);
-          allreduce_max[static_cast<size_t>(s)] += ar.seconds;
-          for (int r = 0; r < R; ++r) {
-            cell_st[cell(s, r)].allreduce_seconds += ar.device_seconds[static_cast<size_t>(r)];
-          }
-        }
+    for (int s = 0; s < S; ++s) {
+      auto& handles = ar_handles[static_cast<size_t>(s)];
+      if (handles.empty()) handles.push_back(issue_allreduce(s, 0, 1));
+      for (AllreduceHandle& h : handles) {
+        AllreduceStats ar = comms_[static_cast<size_t>(s)]->await(h);
+        allreduce_max[static_cast<size_t>(s)] += ar.seconds;
         for (int r = 0; r < R; ++r) {
-          ar_end_max = std::max(ar_end_max, grid_.machine(s, r).now());
+          cell_st[cell(s, r)].allreduce_seconds += ar.device_seconds[static_cast<size_t>(r)];
         }
       }
-      for (int s = 0; s < S; ++s) {
-        for (int r = 0; r < R; ++r) {
-          const size_t c = cell(s, r);
-          if (real_ && grad_elems_[static_cast<size_t>(s)] > 0) {
-            uint64_t off = 0;
-            for (tensor::Tensor* g : grads_[c]) {
-              std::memcpy(device_ptr(s, r, g), fused_[c].data() + off, g->bytes());
-              off += static_cast<uint64_t>(g->shape().elems());
-            }
-          }
-          runtimes_[c]->apply_sgd(cfg_.train.lr, cfg_.train.momentum, cfg_.train.weight_decay);
-          runtimes_[c]->advance_iteration();
-        }
-      }
-    } else {
-      // kGPipe: legacy fully synchronous post-drain update, byte-identical
-      // to the pre-engine trainer (allreduce_sum = issue + immediate await).
-      for (int s = 0; s < S; ++s) {
-        std::vector<float*> bufs(static_cast<size_t>(R), nullptr);
-        if (real_ && grad_elems_[static_cast<size_t>(s)] > 0) {
-          for (int r = 0; r < R; ++r) {
-            const size_t c = cell(s, r);
-            util::PairwiseVecAccumulator acc(
-                static_cast<size_t>(grad_elems_[static_cast<size_t>(s)]));
-            for (int m = 0; m < M; ++m) {
-              // push() consumes the leaf in place; the stash is fully
-              // rewritten by next iteration's snapshots.
-              acc.push(grad_stash_[c][static_cast<size_t>(m)].data());
-            }
-            acc.finish(fused_[c].data());
-            bufs[static_cast<size_t>(r)] = fused_[c].data();
-          }
-        }
-        AllreduceStats ar = comms_[static_cast<size_t>(s)]->allreduce_sum(
-            bufs, grad_elems_[static_cast<size_t>(s)]);
-        allreduce_max[static_cast<size_t>(s)] = ar.seconds;
-        for (int r = 0; r < R; ++r) {
-          ar_end_max = std::max(ar_end_max, grid_.machine(s, r).now());
-        }
-        for (int r = 0; r < R; ++r) {
-          const size_t c = cell(s, r);
-          cell_st[c].allreduce_seconds = ar.device_seconds[static_cast<size_t>(r)];
-          if (real_ && grad_elems_[static_cast<size_t>(s)] > 0) {
-            uint64_t off = 0;
-            for (tensor::Tensor* g : grads_[c]) {
-              std::memcpy(device_ptr(s, r, g), fused_[c].data() + off, g->bytes());
-              off += static_cast<uint64_t>(g->shape().elems());
-            }
-          }
-          runtimes_[c]->apply_sgd(cfg_.train.lr, cfg_.train.momentum, cfg_.train.weight_decay);
-          runtimes_[c]->advance_iteration();
-        }
+      for (int r = 0; r < R; ++r) {
+        ar_end_max = std::max(ar_end_max, grid_.machine(s, r).now());
       }
     }
-    const double allreduce_exposed = std::max(0.0, ar_end_max - drain_end);
+    for (int s = 0; s < S; ++s) {
+      for (int r = 0; r < R; ++r) {
+        const size_t c = cell(s, r);
+        if (real_ && grad_elems_[static_cast<size_t>(s)] > 0) {
+          uint64_t off = 0;
+          for (tensor::Tensor* g : grads_[c]) {
+            std::memcpy(device_ptr(s, r, g), fused_[c].data() + off, g->bytes());
+            off += static_cast<uint64_t>(g->shape().elems());
+          }
+        }
+        runtimes_[c]->apply_sgd(cfg_.train.lr, cfg_.train.momentum, cfg_.train.weight_decay);
+        runtimes_[c]->advance_iteration();
+      }
+    }
 
     // --- telemetry ----------------------------------------------------------
     // Global loss tree: microbatches nest in replica shards, shards combine
@@ -663,12 +603,6 @@ HybridParallelReport HybridParallelTrainer::run() {
     }
     const double loss = loss_sum / cfg_.global_batch;
     core::IterationStats agg;
-    agg.loss = loss;
-    agg.loss_sum = loss_sum;
-    agg.allreduce_exposed_seconds = allreduce_exposed;
-    for (int s = 0; s < S; ++s) {
-      agg.allreduce_seconds = std::max(agg.allreduce_seconds, allreduce_max[static_cast<size_t>(s)]);
-    }
     std::vector<std::vector<core::IterationStats>> grid_st(
         static_cast<size_t>(S), std::vector<core::IterationStats>(static_cast<size_t>(R)));
     for (int s = 0; s < S; ++s) {
@@ -688,18 +622,14 @@ HybridParallelReport HybridParallelTrainer::run() {
         st.p2p_bytes = c1.bytes_p2p - c0[c].bytes_p2p;
         st.p2p_seconds = c1.seconds_p2p - c0[c].seconds_p2p;
 
-        accumulate(agg, st);
-        agg.seconds = std::max(agg.seconds, st.seconds);
-        agg.stall_seconds = std::max(agg.stall_seconds, st.stall_seconds);
-        agg.bubble_seconds += st.bubble_seconds;
-        agg.bubble_fill_seconds += st.bubble_fill_seconds;
-        agg.bubble_steady_seconds += st.bubble_steady_seconds;
-        agg.bubble_drain_seconds += st.bubble_drain_seconds;
-        agg.p2p_bytes += st.p2p_bytes;
-        agg.p2p_seconds += st.p2p_seconds;
+        core::fold(agg, st, core::FoldMode::kParallel);
         grid_st[static_cast<size_t>(s)][static_cast<size_t>(r)] = st;
       }
     }
+    // The row collectives are the one aggregate no cell reading gives: the
+    // slowest row's summed bucket times, and the exposure past drain end.
+    agg.allreduce_seconds = *std::max_element(allreduce_max.begin(), allreduce_max.end());
+    agg.allreduce_exposed_seconds = std::max(0.0, ar_end_max - drain_end);
     report.losses.push_back(loss);
     report.stats.push_back(agg);
     report.cell_stats.push_back(std::move(grid_st));

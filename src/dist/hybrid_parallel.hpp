@@ -98,8 +98,8 @@ struct HybridParallelConfig {
   /// k1F1B only: a stage's fused gradient splits into ceil(bytes /
   /// bucket_bytes) buckets whose row all-reduces issue asynchronously as
   /// the stage's last microbatch retires, overlapping the remaining drain
-  /// (DDP-style bucketing). kGPipe keeps the legacy post-drain synchronous
-  /// update regardless.
+  /// (DDP-style bucketing). kGPipe issues each stage's whole gradient as one
+  /// bucket after the drain; both then share the same await + SGD tail.
   uint64_t bucket_bytes = 4ull << 20;
   /// Explicit route cut positions (NetPartitioner::partition_at); empty =
   /// cost- and memory-balanced automatic partition.
@@ -194,6 +194,10 @@ class HybridParallelTrainer {
   /// Retire sender-side bookkeeping of streamed transfers (opportunistic;
   /// forced at iteration end).
   void retire_streams(bool force);
+  /// Issue bucket `bucket` of `nbuckets` of stage `s`'s row all-reduce
+  /// (async; the caller awaits). Bucket 0 first combines each replica's
+  /// microbatch gradient snapshots pairwise into its fused buffer.
+  AllreduceHandle issue_allreduce(int s, int bucket, int nbuckets);
 
   HybridParallelConfig cfg_;
   bool real_;

@@ -273,13 +273,10 @@ size_t load_point(const util::JsonValue& doc, const std::string& origin, Traject
                  "bench/run_trajectory.sh first)");
   }
   int point = static_cast<int>(tp->as_number());
-  int version = 0;
-  if (const util::JsonValue* sv = doc.find("schema_version")) {
-    if (!sv->is_number() || sv->as_number() != 1.0) {
-      fail(origin, "unsupported schema_version (this tool understands legacy files and "
-                   "version 1)");
-    }
-    version = 1;
+  const util::JsonValue* sv = doc.find("schema_version");
+  if (!sv) fail(origin, "missing \"schema_version\" (this tool understands version 1)");
+  if (!sv->is_number() || sv->as_number() != 1.0) {
+    fail(origin, "unsupported schema_version (this tool understands version 1)");
   }
   CellMap cells;
   size_t rows = 0;
@@ -295,22 +292,18 @@ size_t load_point(const util::JsonValue& doc, const std::string& origin, Traject
     } else if (key == "prefetch_lookahead") {
       rows += load_prefetch_lookahead(sec, origin, &cells);
     } else if (key == "sweep") {
-      if (version == 0) {
-        fail(origin, "mixed schema: \"sweep\" section in a legacy (unversioned) file");
-      }
       saw_sweep = true;
       rows += load_sweep(sec, origin, &cells, point);
     } else {
       fail(origin, "unknown section \"" + key + "\" (mixed or newer schema?)");
     }
   }
-  if (version == 1 && !saw_sweep) {
+  if (!saw_sweep) {
     fail(origin, "schema_version 1 requires a \"sweep\" section");
   }
   if (cells.empty()) fail(origin, "trajectory point has no bench sections");
   if (out) {
     out->point = point;
-    out->schema_version = version;
     out->origin = origin;
     out->cells = std::move(cells);
   }

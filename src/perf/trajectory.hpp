@@ -3,16 +3,15 @@
 // every bench emitter's output.
 //
 // A trajectory point (one file per PR that moved a gated number) merges the
-// CI-gated benches' --json output plus the bench_sweep matrix. Two on-disk
-// generations exist:
-//   * legacy (BENCH_6.json, schema_version absent = 0): the four bench
-//     sections only, rows single-shot;
-//   * v1 (BENCH_8.json onward, "schema_version": 1): same sections, rows
-//     carry repeats + seconds_lo/seconds_hi dispersion, plus a "sweep"
-//     section of {net x grid x link x pool budget x schedule} cells whose
-//     every metric records {median, lo, hi, n} over R repeats.
-// Both normalize into the same flat cell-key -> metric -> stat map, so the
-// diff joins across generations.
+// CI-gated benches' --json output plus the bench_sweep matrix. One on-disk
+// generation is understood: "schema_version": 1 (BENCH_8.json onward) —
+// the four bench sections, whose rows carry repeats +
+// seconds_lo/seconds_hi dispersion (single-shot rows without them collapse
+// to lo == hi), plus a required "sweep" section of {net x grid x link x pool
+// budget x schedule} cells whose every metric records {median, lo, hi, n}
+// over R repeats. A file without schema_version is rejected. Every section
+// normalizes into one flat cell-key -> metric -> stat map, which the diff
+// joins on.
 //
 // The diff classifies each gated metric's delta against a noise band built
 // from the RECORDED dispersion (max of both sides' hi-lo spreads) with a
@@ -45,7 +44,7 @@ class TrajectoryError : public std::runtime_error {
 };
 
 /// One metric's recorded statistics: median over n repeats plus the min/max
-/// dispersion envelope. Single-shot legacy rows collapse to lo == hi.
+/// dispersion envelope. Single-shot rows collapse to lo == hi.
 struct MetricStat {
   double median = 0.0;
   double lo = 0.0;
@@ -65,17 +64,16 @@ enum class MetricKind {
 MetricKind metric_kind(const std::string& name);
 
 struct TrajectoryPoint {
-  int point = 0;           ///< "trajectory_point"
-  int schema_version = 0;  ///< 0 = legacy merged file
-  std::string origin;      ///< file name, for error messages
+  int point = 0;       ///< "trajectory_point"
+  std::string origin;  ///< file name, for error messages
   /// Canonical cell key (e.g. "hybrid_grid/VGG16/hybrid/s2r2m8/1f1b",
   /// "sweep/ResNet50/pcie/s2r2m4/pool6/gpipe") -> metric -> stat.
   std::map<std::string, std::map<std::string, MetricStat>> cells;
 };
 
 /// Normalize a parsed BENCH_<n>.json document. Throws TrajectoryError on
-/// malformed or mixed-schema input (unknown sections, sweep cells in a
-/// legacy file, unsupported schema_version, missing required fields).
+/// malformed or mixed-schema input (unknown sections, missing or
+/// unsupported schema_version, missing required fields).
 TrajectoryPoint load_trajectory(const util::JsonValue& doc, const std::string& origin);
 
 enum class DeltaClass {

@@ -99,6 +99,53 @@ TEST(Inference, RepeatedCallsAreStable) {
   EXPECT_EQ(a.peak_mem, b.peak_mem);
 }
 
+TEST(Inference, ReportsAllocatorAndCacheCounters) {
+  // A skip connection keeps conv A's output alive across X1 and X2 until
+  // its pooled branch joins: a capacity between the largest single step and
+  // that live set forces the tensor cache to evict A and fetch it back.
+  auto build = [] {
+    auto net = std::make_unique<graph::Net>();
+    auto* d = net->data("DATA", tensor::Shape{4, 3, 16, 16});
+    auto* a = net->conv("A", d, 16, 3, 1, 1);
+    auto* x1 = net->conv("X1", a, 16, 3, 1, 1);
+    auto* x2 = net->conv("X2", x1, 16, 3, 1, 1);
+    auto* pa = net->pool_max("PA", a, 2, 2);
+    auto* px = net->pool_max("PX", x2, 2, 2);
+    net->softmax_loss("SM", net->fc("FC", net->eltwise("J", {pa, px}), 4));
+    net->finalize();
+    return net;
+  };
+  train::SyntheticDataset ds(tensor::Shape{1, 3, 16, 16}, 4, 7);
+  std::vector<float> data(4 * 3 * 256);
+  std::vector<int32_t> labels(4);
+  ds.fill_batch(4, 0, data.data(), labels.data());
+  auto run = [&](uint64_t activation_budget) {
+    auto net = build();
+    uint64_t params = 0;
+    for (const auto& t : net->registry().all()) {
+      if (t->kind() == tensor::TensorKind::kParam || t->kind() == tensor::TensorKind::kParamGrad)
+        params += t->bytes();
+    }
+    auto o = real_opts(params + activation_budget);
+    o.allow_workspace = false;
+    o.recompute = core::RecomputeMode::kNone;
+    core::Runtime rt(*net, o);
+    return rt.forward_iteration(data.data(), labels.data());
+  };
+  const uint64_t act = 4ull * 16 * 16 * 16 * sizeof(float);  // one conv output
+  const core::IterationStats ample = run(16 * act);
+  EXPECT_GT(ample.allocs, 0u);
+  EXPECT_EQ(ample.evictions, 0u);
+
+  const core::IterationStats tight = run(act * 11 / 4);
+  EXPECT_GT(tight.allocs, 0u);
+  EXPECT_GT(tight.evictions, 0u);
+  EXPECT_GT(tight.cache_misses, 0u);
+  EXPECT_GT(tight.bytes_d2h, 0u);
+  EXPECT_LT(tight.peak_mem, ample.peak_mem);
+  EXPECT_EQ(tight.loss, ample.loss);  // eviction never changes numerics
+}
+
 TEST(ActKinds, DependencyShapesDiffer) {
   graph::Net net;
   auto* d = net.data("d", tensor::Shape{2, 3, 8, 8});

@@ -1,8 +1,8 @@
 // perf-trajectory gate semantics: an out-of-band regression fails and is
 // named, an improvement passes, jitter inside the recorded noise band
-// passes, dropped/renamed cells are named, malformed and mixed-schema input
-// is rejected, and the legacy BENCH_6 shape normalizes into the same cell
-// map as schema_version-1 points.
+// passes, dropped/renamed cells are named, malformed, mixed-schema and
+// unversioned input is rejected, and every bench section of a
+// schema_version-1 point normalizes into the cell map.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -174,10 +174,15 @@ TEST(TrajectoryDiff, MalformedInputRejected) {
 }
 
 TEST(TrajectoryDiff, MixedSchemaRejected) {
-  // sweep section inside a legacy (unversioned) file.
-  std::string mixed = sweep_point(90, metrics(0.1, 0.1, 0.1), metrics(0.2, 0.2, 0.2));
-  mixed.replace(mixed.find("\"schema_version\": 1,\n"), 21, "");
-  EXPECT_THROW(load(mixed), TrajectoryError);
+  // A point without schema_version is rejected, and the error says so.
+  std::string unversioned = sweep_point(90, metrics(0.1, 0.1, 0.1), metrics(0.2, 0.2, 0.2));
+  unversioned.replace(unversioned.find("\"schema_version\": 1,\n"), 21, "");
+  try {
+    load(unversioned);
+    FAIL() << "expected TrajectoryError";
+  } catch (const TrajectoryError& e) {
+    EXPECT_NE(std::string(e.what()).find("schema_version"), std::string::npos);
+  }
 
   // v1 outer point whose sweep section claims a different generation.
   std::string skewed = sweep_point(90, metrics(0.1, 0.1, 0.1), metrics(0.2, 0.2, 0.2));
@@ -194,7 +199,8 @@ TEST(TrajectoryDiff, MixedSchemaRejected) {
   EXPECT_THROW(load(R"({"trajectory_point": 9, "schema_version": 1})"), TrajectoryError);
 
   // Unknown sections mean a newer or corrupted generation.
-  EXPECT_THROW(load(R"({"trajectory_point": 6, "mystery": {}})"), TrajectoryError);
+  EXPECT_THROW(load(R"({"trajectory_point": 6, "schema_version": 1, "mystery": {}})"),
+               TrajectoryError);
 }
 
 TEST(TrajectoryDiff, SweepStatsValidated) {
@@ -203,9 +209,12 @@ TEST(TrajectoryDiff, SweepStatsValidated) {
                TrajectoryError);
 }
 
-TEST(TrajectoryDiff, LegacyBench6ShapeNormalizes) {
-  const char* legacy = R"({
+TEST(TrajectoryDiff, BenchSectionsNormalize) {
+  // The four gated bench sections with single-shot rows (no repeats /
+  // seconds_lo / seconds_hi), plus the sweep section a v1 point requires.
+  std::string point = R"({
     "trajectory_point": 6,
+    "schema_version": 1,
     "pipeline_stages": {
       "global_batch": 32,
       "configs": [
@@ -239,17 +248,19 @@ TEST(TrajectoryDiff, LegacyBench6ShapeNormalizes) {
         {"name": "AlexNet", "batch": 1024, "best_lookahead": 2,
          "stall_ms": [5.0, 2.0, 1.0, 1.5, 2.5]}
       ]
-    }
-  })";
-  TrajectoryPoint p = load(legacy);
+    },
+    "sweep": )";
+  const std::string sweep = sweep_point(6, metrics(0.1, 0.1, 0.1), metrics(0.2, 0.2, 0.2));
+  point += sweep.substr(sweep.find("\"sweep\": ") + 9);
+  TrajectoryPoint p = load(point);
   EXPECT_EQ(p.point, 6);
-  EXPECT_EQ(p.schema_version, 0);
+  EXPECT_EQ(p.cells.count(kCellA), 1u);
   EXPECT_EQ(p.cells.count("pipeline_stages/VGG16/s2m4/1f1b"), 1u);
   EXPECT_EQ(p.cells.count("hybrid_grid/VGG16/hybrid/s2r2m8/1f1b"), 1u);
   EXPECT_EQ(p.cells.count("stream_overlap/micro"), 1u);
   EXPECT_EQ(p.cells.count("stream_overlap/AlexNet/b128"), 1u);
   EXPECT_EQ(p.cells.count("prefetch_lookahead/AlexNet/b1024"), 1u);
-  // Legacy single-shot rows collapse to a degenerate envelope.
+  // Single-shot rows collapse to a degenerate envelope.
   const perf::MetricStat& s = p.cells["pipeline_stages/VGG16/s2m4/1f1b"]["seconds"];
   EXPECT_EQ(s.repeats, 1);
   EXPECT_DOUBLE_EQ(s.lo, s.hi);
