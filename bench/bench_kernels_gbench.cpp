@@ -2,7 +2,9 @@
 // convolution algorithms, memory-pool operations, and the LRU cache.
 //
 // These measure the *actual* kernel/runtime code (wall clock), complementing
-// the virtual-time table/figure benches.
+// the virtual-time table/figure benches. SGEMM and convolution run on the
+// multi-worker kernel ThreadPool, so their rows use real time: main-thread
+// CPU time would count one worker's share and overstate the throughput.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -29,7 +31,7 @@ void BM_Sgemm(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2ll * n * n * n);
 }
-BENCHMARK(BM_Sgemm)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_Sgemm)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
 void BM_ConvForward(benchmark::State& state) {
   nn::ConvAlgo algo = static_cast<nn::ConvAlgo>(state.range(0));
@@ -61,7 +63,8 @@ void BM_ConvForward(benchmark::State& state) {
 BENCHMARK(BM_ConvForward)
     ->Arg(static_cast<int>(nn::ConvAlgo::kDirect))
     ->Arg(static_cast<int>(nn::ConvAlgo::kIm2colGemm))
-    ->Arg(static_cast<int>(nn::ConvAlgo::kWinograd));
+    ->Arg(static_cast<int>(nn::ConvAlgo::kWinograd))
+    ->UseRealTime();
 
 void BM_MemoryPoolChurn(benchmark::State& state) {
   mem::MemoryPool pool(64 << 20, static_cast<uint64_t>(state.range(0)));

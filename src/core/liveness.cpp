@@ -2,13 +2,11 @@
 
 namespace sn::core {
 
-Liveness::Liveness(const graph::Net& net, bool extend_for_recompute) {
-  const auto& steps = net.steps();
+Liveness::Liveness(const graph::Net& net, bool extend_for_recompute)
+    : program_(net.program()) {
   const size_t ntensors = net.registry().size();
-  const int nsteps = static_cast<int>(steps.size());
+  const int nsteps = program_.num_steps();
 
-  uses_.resize(nsteps);
-  defs_.resize(nsteps);
   free_after_.resize(nsteps);
   first_.assign(ntensors, -1);
   last_.assign(ntensors, -1);
@@ -26,17 +24,9 @@ Liveness::Liveness(const graph::Net& net, bool extend_for_recompute) {
     if (step > last_[uid]) last_[uid] = step;
   };
 
-  for (const auto& step : steps) {
-    auto u = step.forward ? step.layer->forward_uses() : step.layer->backward_uses();
-    auto d = step.forward ? step.layer->forward_defs() : step.layer->backward_defs();
-    for (auto* t : u) {
-      uses_[step.index].push_back(t->uid());
-      note(t->uid(), step.index);
-    }
-    for (auto* t : d) {
-      defs_[step.index].push_back(t->uid());
-      note(t->uid(), step.index);
-    }
+  for (int s = 0; s < nsteps; ++s) {
+    for (const tensor::Tensor* t : program_.uses(s)) note(t->uid(), s);
+    for (const tensor::Tensor* t : program_.defs(s)) note(t->uid(), s);
   }
 
   if (extend_for_recompute) {

@@ -1,7 +1,8 @@
 // Liveness Analysis (paper §3.2).
 //
-// For the 2N-step execution route, compute per-step use/def tables and each
-// tensor's live interval [first_occurrence, last_occurrence]. The runtime
+// For the 2N-step execution route (its per-step use/def tables are the
+// Net's StepProgram), compute each tensor's live interval
+// [first_occurrence, last_occurrence]. The runtime
 // frees a tensor immediately after its last-use step, which reduces peak
 // memory from the baseline Σ l_f + Σ l_b to Σ l_f + l_b_N.
 //
@@ -13,11 +14,17 @@
 #pragma once
 
 #include <cstdint>
+#include <ranges>
 #include <vector>
 
 #include "graph/net.hpp"
 
 namespace sn::core {
+
+/// The uids of a StepProgram span, as a view.
+inline auto tensor_uids(graph::StepProgram::Tensors ts) {
+  return ts | std::views::transform([](const tensor::Tensor* t) { return t->uid(); });
+}
 
 class Liveness {
  public:
@@ -28,9 +35,10 @@ class Liveness {
   /// checkpoint stays resident until its segment's backward finishes).
   explicit Liveness(const graph::Net& net, bool extend_for_recompute = false);
 
-  /// Tensor uids read / written at step s (s indexes Net::steps()).
-  const std::vector<uint64_t>& uses(int step) const { return uses_[step]; }
-  const std::vector<uint64_t>& defs(int step) const { return defs_[step]; }
+  /// Tensor uids read / written at step s (s indexes Net::steps()): views
+  /// over the Net's StepProgram, which must outlive this object.
+  auto uses(int step) const { return tensor_uids(program_.uses(step)); }
+  auto defs(int step) const { return tensor_uids(program_.defs(step)); }
 
   /// Tensors whose last occurrence is step s — safe to free afterwards.
   const std::vector<uint64_t>& free_after(int step) const { return free_after_[step]; }
@@ -47,15 +55,14 @@ class Liveness {
   std::vector<uint64_t> in_set(int step) const;
   std::vector<uint64_t> out_set(int step) const;
 
-  int num_steps() const { return static_cast<int>(uses_.size()); }
+  int num_steps() const { return program_.num_steps(); }
 
   /// Number of pairwise dependency checks the paper's O(N²) construction
   /// would perform (kept to document and test the complexity claim).
   uint64_t quadratic_checks() const { return quadratic_checks_; }
 
  private:
-  std::vector<std::vector<uint64_t>> uses_;
-  std::vector<std::vector<uint64_t>> defs_;
+  const graph::StepProgram& program_;
   std::vector<std::vector<uint64_t>> free_after_;
   std::vector<int> first_;
   std::vector<int> last_;

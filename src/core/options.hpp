@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "sim/device_spec.hpp"
@@ -100,8 +101,16 @@ RuntimeOptions make_policy(PolicyPreset preset, sim::DeviceSpec spec = sim::k40c
 
 /// Error thrown when an allocation cannot be satisfied even after eviction /
 /// recomputation — the "GPU out-of-memory" the going-wider/deeper benches
-/// probe for.
-struct OomError {
+/// probe for. A std::runtime_error, so generic handlers see it; the message
+/// is also kept in the public `what` member (which hides what() inside this
+/// class: through OomError use `e.what`, through std::exception `e.what()`).
+struct OomError : std::runtime_error {
+  OomError(uint64_t requested_bytes, uint64_t largest_free_bytes, std::string message)
+      : std::runtime_error(message),
+        requested(requested_bytes),
+        largest_free(largest_free_bytes),
+        what(std::move(message)) {}
+
   uint64_t requested = 0;
   uint64_t largest_free = 0;
   std::string what;

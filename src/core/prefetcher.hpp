@@ -8,6 +8,12 @@
 // tensors the next `lookahead` checkpoint spans will read. The pool decides
 // per tensor whether staging is possible (host-resident, not already in
 // flight, fits without eviction) and actually moves the bytes.
+//
+// The plans are static: they depend only on the route and the lookahead.
+// The constructor compiles the plan of every checkpoint layer's backward
+// step (where the runtime stages) from the Net's StepProgram, deduplicating
+// with a per-uid stamp; the remote gate, which changes while a pipeline
+// runs, filters at query time.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +40,11 @@ class Prefetcher {
   /// prefetching (every plan is empty); negatives are clamped to 0.
   explicit Prefetcher(const graph::Net& net, int lookahead = 1);
 
-  /// Backward-pass dependencies of the steps after `step`, in scan order
-  /// (deduplicated), stopping after `lookahead` checkpoint layers. Pure
-  /// policy: no residency filtering — the caller stages what it can.
+  /// Backward-pass dependencies of the layers of the steps after `step`, in
+  /// scan order (deduplicated), stopping after `lookahead` checkpoint
+  /// layers. Pure policy: no residency filtering — the caller stages what it
+  /// can. Compiled for checkpoint backward steps; any other step is scanned
+  /// on demand.
   std::vector<tensor::Tensor*> plan(int step) const;
 
   /// plan() with each tensor annotated by the checkpoint-span distance at
@@ -53,9 +61,23 @@ class Prefetcher {
   void set_remote_gate(std::function<bool(uint64_t)> gate) { remote_gate_ = std::move(gate); }
 
  private:
+  /// Append the plan of `step` to `out` (the uncompiled scan).
+  void scan(int step, std::vector<Entry>& out) const;
+
   const graph::Net& net_;
   int lookahead_;
   std::function<bool(uint64_t)> remote_gate_;
+
+  /// Compiled plans, CSR-style: step s's plan is plans_[plan_end_[k - 1],
+  /// plan_end_[k]) with k = plan_of_step_[s] (-1: not compiled).
+  std::vector<Entry> plans_;
+  std::vector<uint32_t> plan_end_;
+  std::vector<int> plan_of_step_;
+  /// Dedupe stamps by tensor uid: a uid is already planned in the current
+  /// scan iff its stamp equals epoch_. Mutated by const queries, so plans of
+  /// one Prefetcher are queried from one thread (the runtime's).
+  mutable std::vector<uint32_t> stamp_;
+  mutable uint32_t epoch_ = 0;
 };
 
 /// Per-net prefetch-lookahead default, applied when RuntimeOptions leaves

@@ -51,7 +51,12 @@ Runtime::Runtime(graph::Net& net, RuntimeOptions opts)
   pool_cfg.host_capacity = opts_.host_capacity;
   pool_cfg.device_id = opts_.device_id;
   UnifiedTensorPool::Hooks hooks;
-  hooks.droppable = [this](const tensor::Tensor* t) { return plan_.droppable(t); };
+  // A forward-only pass frees each tensor at its last forward use, so the
+  // replay that would regenerate a dropped tensor may find its inputs gone:
+  // inference offloads instead of dropping.
+  hooks.droppable = [this](const tensor::Tensor* t) {
+    return !inference_mode_ && plan_.droppable(t);
+  };
   hooks.persistent = [this](uint64_t uid) { return liveness_.is_persistent(uid); };
   hooks.last_forward_use = [this](uint64_t uid) { return last_forward_use_[uid]; };
   pool_ = std::make_unique<UnifiedTensorPool>(net.registry(), machine_, pool_cfg,
@@ -62,18 +67,18 @@ Runtime::Runtime(graph::Net& net, RuntimeOptions opts)
   last_forward_use_.assign(ntensors, -1);
   is_offload_target_.assign(ntensors, false);
 
+  const graph::StepProgram& prog = net.program();
   const int nfwd = static_cast<int>(net.route().size());
   for (const auto& l : net.layers()) {
-    for (tensor::Tensor* t : l->forward_defs()) producer_[t->uid()] = l.get();
+    for (tensor::Tensor* t : prog.defs(prog.forward_step(l.get()))) producer_[t->uid()] = l.get();
     for (tensor::Tensor* t : l->param_grads()) producer_[t->uid()] = l.get();
     if (tensor::Tensor* g = l->output_grad()) producer_[g->uid()] = l.get();
     if (is_offloadable_producer(l.get())) is_offload_target_[l->output()->uid()] = true;
   }
-  for (const auto& step : net.steps()) {
-    if (step.index >= nfwd) break;
-    for (auto* t : step.layer->forward_uses()) last_forward_use_[t->uid()] = step.index;
-    for (auto* t : step.layer->forward_defs()) {
-      if (last_forward_use_[t->uid()] < step.index) last_forward_use_[t->uid()] = step.index;
+  for (int s = 0; s < nfwd; ++s) {
+    for (const tensor::Tensor* t : prog.uses(s)) last_forward_use_[t->uid()] = s;
+    for (const tensor::Tensor* t : prog.defs(s)) {
+      if (last_forward_use_[t->uid()] < s) last_forward_use_[t->uid()] = s;
     }
   }
 
@@ -151,8 +156,10 @@ void Runtime::replay_forward(graph::Layer* layer) {
   for (const tensor::Tensor* a : layer->aux()) live = live && a->on_device();
   if (live) return;
 
-  auto uses = layer->forward_uses();
-  auto defs = layer->forward_defs();
+  const graph::StepProgram& prog = net_.program();
+  const int s = prog.forward_step(layer);
+  const graph::StepProgram::Tensors uses = prog.uses(s);
+  const graph::StepProgram::Tensors defs = prog.defs(s);
   // Lock as we go: materializing a later dependency may trigger eviction,
   // which must not reclaim dependencies staged moments earlier.
   for (tensor::Tensor* u : uses) {
@@ -291,7 +298,7 @@ void Runtime::run_layer_pass(graph::Layer* layer, bool forward, const float* inp
   if (ws_handle) allocator.deallocate(*ws_handle);
 }
 
-void Runtime::lock(const std::vector<tensor::Tensor*>& ts, bool locked) {
+void Runtime::lock(graph::StepProgram::Tensors ts, bool locked) {
   for (tensor::Tensor* t : ts) {
     if (locked) {
       t->lock();
@@ -319,8 +326,8 @@ void Runtime::exec_step(const graph::Step& step, const float* input, const int32
                         obs::schedule_phase_name(sched_phase_), sched_microbatch_);
   }
 
-  auto uses = fwd ? layer->forward_uses() : layer->backward_uses();
-  auto defs = fwd ? layer->forward_defs() : layer->backward_defs();
+  const graph::StepProgram::Tensors uses = net_.program().uses(step.index);
+  const graph::StepProgram::Tensors defs = net_.program().defs(step.index);
 
   // Materialize-and-lock one at a time: materializing a later dependency may
   // trigger eviction, which must not touch dependencies already staged.

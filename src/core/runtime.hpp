@@ -178,7 +178,7 @@ class Runtime {
   void charge_layer_time(const graph::Layer* layer, bool forward, nn::ConvAlgo algo);
   void issue_prefetches(int step);
 
-  void lock(const std::vector<tensor::Tensor*>& ts, bool locked);
+  void lock(graph::StepProgram::Tensors ts, bool locked);
   void note_peak();
 
   tensor::Tensor* tensor_by_uid(uint64_t uid) { return net_.registry().get(uid); }

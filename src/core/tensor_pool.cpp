@@ -55,12 +55,18 @@ void UnifiedTensorPool::alloc_device(tensor::Tensor* t) {
     for (int pass = 0; pass < 2 && !h; ++pass) {
       if (pass == 1) spill_guests();
       while (!h) {
-        auto victim = cache_.find_victim([&](uint64_t uid) {
-          tensor::Tensor* c = by_uid(uid);
-          if (c->locked() || !c->on_device()) return false;
-          if (pass == 0 && c->residency != tensor::Residency::kBoth) return false;
-          return true;
-        });
+        std::optional<uint64_t> victim;
+        if (pass == 0) {
+          victim = cache_.find_clean_victim([&](uint64_t uid) {
+            const tensor::Tensor* c = by_uid(uid);
+            return !c->locked() && c->residency == tensor::Residency::kBoth;
+          });
+        } else {
+          victim = cache_.find_victim([&](uint64_t uid) {
+            const tensor::Tensor* c = by_uid(uid);
+            return !c->locked() && c->on_device();
+          });
+        }
         if (!victim) break;
         tensor::Tensor* c = by_uid(*victim);
         if (pass == 0) {
@@ -133,7 +139,7 @@ void UnifiedTensorPool::offload_to_host(tensor::Tensor* t, bool async) {
                                                                 : TransferPriority::kHigh;
   engine_->submit(TransferDir::kD2H, t->uid(), device_ptr(t), host_pool_.ptr(t->host_handle),
                   t->bytes(), prio);
-  t->residency = tensor::Residency::kBoth;
+  mark_clean(t);
   if (!(async && cfg_.async_transfers)) {
     engine_->wait(TransferDir::kD2H, t->uid());
     release_offloaded(t);
@@ -170,14 +176,14 @@ void UnifiedTensorPool::fetch_from_host(tensor::Tensor* t) {
   engine_->submit(TransferDir::kH2D, t->uid(), host_pool_.ptr(t->host_handle), device_ptr(t),
                   t->bytes(), TransferPriority::kHigh);
   engine_->wait(TransferDir::kH2D, t->uid());
-  t->residency = tensor::Residency::kBoth;
+  mark_clean(t);
   if (cfg_.tensor_cache) cache_.count_miss();
 }
 
 bool UnifiedTensorPool::prefetch(tensor::Tensor* t, TransferPriority prio) {
   if (allocator_->largest_free() < t->bytes()) return false;  // no room: never evict for a prefetch
   alloc_device(t);
-  t->residency = tensor::Residency::kBoth;
+  mark_clean(t);
   engine_->submit(TransferDir::kH2D, t->uid(), host_pool_.ptr(t->host_handle), device_ptr(t),
                   t->bytes(), prio);
   return true;
@@ -193,6 +199,7 @@ void UnifiedTensorPool::mark_dirty(tensor::Tensor* t) {
   engine_->discard(TransferDir::kD2H, t->uid());
   if (t->residency == tensor::Residency::kBoth) {
     t->residency = tensor::Residency::kDevice;
+    cache_.set_clean(t->uid(), false);
   }
 }
 

@@ -241,6 +241,13 @@ class UnifiedTensorPool {
  private:
   tensor::Tensor* by_uid(uint64_t uid) { return registry_.get(uid); }
 
+  /// Enter kBoth (device and host copies agree). The cache's clean index
+  /// must follow every kBoth entry and exit, so this is the only entry path.
+  void mark_clean(tensor::Tensor* t) {
+    t->residency = tensor::Residency::kBoth;
+    cache_.set_clean(t->uid(), true);
+  }
+
   tensor::TensorRegistry& registry_;
   sim::Machine& machine_;
   Config cfg_;

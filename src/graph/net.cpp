@@ -116,16 +116,17 @@ void Net::finalize() {
   build_route();
   for (Layer* l : route_) l->infer_shape();
   for (Layer* l : route_) l->create_tensors(registry_);
-  // Record producer steps (used by recomputation to replay segments).
   steps_.clear();
   steps_.reserve(route_.size() * 2);
   int idx = 0;
-  for (Layer* l : route_) {
-    for (tensor::Tensor* t : l->forward_defs()) t->producer_step = idx;
-    steps_.push_back(Step{l, true, idx++});
-  }
+  for (Layer* l : route_) steps_.push_back(Step{l, true, idx++});
   for (auto it = route_.rbegin(); it != route_.rend(); ++it) {
     steps_.push_back(Step{*it, false, idx++});
+  }
+  program_ = StepProgram(steps_, layers_.size());
+  // Record producer steps (used by recomputation to replay segments).
+  for (int s = 0; s < static_cast<int>(route_.size()); ++s) {
+    for (tensor::Tensor* t : program_.defs(s)) t->producer_step = s;
   }
   finalized_ = true;
 }

@@ -4,7 +4,8 @@
 // join (a layer with several inputs) connections — Fig. 1/3 of the paper.
 // `finalize()` runs the paper's Algorithm 1 (DFS with join counters) to
 // linearize the graph into forward steps, mirrors them into backward steps,
-// infers shapes, and registers every tensor.
+// infers shapes, registers every tensor, and compiles the steps' use/def
+// sets into one StepProgram.
 #pragma once
 
 #include <memory>
@@ -12,17 +13,10 @@
 #include <vector>
 
 #include "graph/layers.hpp"
+#include "graph/step_program.hpp"
 #include "tensor/tensor.hpp"
 
 namespace sn::graph {
-
-/// One scheduling step: a layer pass. A training iteration is the forward
-/// route (steps 0..N-1) followed by the mirrored backward route (N..2N-1).
-struct Step {
-  Layer* layer = nullptr;
-  bool forward = true;
-  int index = -1;  ///< position in the 2N-step iteration
-};
 
 class Net {
  public:
@@ -48,8 +42,9 @@ class Net {
   Layer* eltwise(const std::string& name, const std::vector<Layer*>& ins);
   Layer* concat(const std::string& name, const std::vector<Layer*>& ins);
 
-  /// Build the execution route (Algorithm 1), infer shapes, create tensors.
-  /// Must be called exactly once after the full graph is wired.
+  /// Build the execution route (Algorithm 1), infer shapes, create tensors,
+  /// compile the StepProgram. Must be called exactly once after the full
+  /// graph is wired.
   void finalize();
 
   bool finalized() const { return finalized_; }
@@ -62,6 +57,10 @@ class Net {
   /// The 2N-step iteration: forward route then mirrored backward route
   /// (paper Fig. 6: left digit = forward step, right digit = backward step).
   const std::vector<Step>& steps() const { return steps_; }
+
+  /// Every step's use/def tensors, compiled once by finalize(): the single
+  /// source of per-step dependency data for the runtime and its analyses.
+  const StepProgram& program() const { return program_; }
 
   Layer* input_layer() const { return input_; }
   Layer* loss_layer() const { return loss_; }
@@ -88,6 +87,7 @@ class Net {
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<Layer*> route_;
   std::vector<Step> steps_;
+  StepProgram program_;
   tensor::TensorRegistry registry_;
   Layer* input_ = nullptr;
   Layer* loss_ = nullptr;

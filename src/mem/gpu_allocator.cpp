@@ -5,27 +5,32 @@ namespace sn::mem {
 NativeAllocator::NativeAllocator(sim::Machine& machine, uint64_t capacity, bool backed)
     : machine_(machine), pool_(capacity, /*block_bytes=*/256, backed) {}
 
+namespace {
+
+std::optional<uint64_t> allocate_id(MemoryPool& pool, uint64_t bytes) {
+  auto a = pool.allocate(bytes);
+  if (!a) return std::nullopt;
+  return a->id;
+}
+
+void* ptr_of(MemoryPool& pool, uint64_t handle) {
+  auto offset = pool.offset_of(handle);
+  return offset ? pool.ptr(*offset) : nullptr;
+}
+
+}  // namespace
+
 std::optional<uint64_t> NativeAllocator::allocate(uint64_t bytes) {
   machine_.native_malloc(bytes);
-  auto a = pool_.allocate(bytes);
-  if (!a) return std::nullopt;
-  uint64_t handle = a->id;
-  live_.emplace(handle, *a);
-  return handle;
+  return allocate_id(pool_, bytes);
 }
 
 void NativeAllocator::deallocate(uint64_t handle) {
   machine_.native_free();
-  auto it = live_.find(handle);
-  if (it == live_.end()) return;
-  pool_.deallocate(it->second.id);
-  live_.erase(it);
+  pool_.deallocate(handle);
 }
 
-void* NativeAllocator::ptr(uint64_t handle) {
-  auto it = live_.find(handle);
-  return it == live_.end() ? nullptr : pool_.ptr(it->second.offset);
-}
+void* NativeAllocator::ptr(uint64_t handle) { return ptr_of(pool_, handle); }
 
 PoolAllocator::PoolAllocator(sim::Machine& machine, uint64_t capacity, uint64_t block_bytes,
                              bool backed)
@@ -33,24 +38,14 @@ PoolAllocator::PoolAllocator(sim::Machine& machine, uint64_t capacity, uint64_t 
 
 std::optional<uint64_t> PoolAllocator::allocate(uint64_t bytes) {
   machine_.run_compute(kPoolOpSeconds);
-  auto a = pool_.allocate(bytes);
-  if (!a) return std::nullopt;
-  uint64_t handle = a->id;
-  live_.emplace(handle, *a);
-  return handle;
+  return allocate_id(pool_, bytes);
 }
 
 void PoolAllocator::deallocate(uint64_t handle) {
   machine_.run_compute(kPoolOpSeconds);
-  auto it = live_.find(handle);
-  if (it == live_.end()) return;
-  pool_.deallocate(it->second.id);
-  live_.erase(it);
+  pool_.deallocate(handle);
 }
 
-void* PoolAllocator::ptr(uint64_t handle) {
-  auto it = live_.find(handle);
-  return it == live_.end() ? nullptr : pool_.ptr(it->second.offset);
-}
+void* PoolAllocator::ptr(uint64_t handle) { return ptr_of(pool_, handle); }
 
 }  // namespace sn::mem

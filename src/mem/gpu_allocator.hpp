@@ -12,8 +12,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <vector>
 
 #include "mem/mem_pool.hpp"
 #include "sim/machine.hpp"
@@ -57,8 +55,7 @@ class NativeAllocator final : public GpuAllocator {
 
  private:
   sim::Machine& machine_;
-  MemoryPool pool_;  ///< reused purely as an address-space manager
-  std::unordered_map<uint64_t, PoolAllocation> live_;
+  MemoryPool pool_;  ///< reused purely as an address-space manager; handle = pool id
 };
 
 /// The paper's pre-allocated heap: constant small bookkeeping cost per op.
@@ -83,8 +80,7 @@ class PoolAllocator final : public GpuAllocator {
 
  private:
   sim::Machine& machine_;
-  MemoryPool pool_;
-  std::unordered_map<uint64_t, PoolAllocation> live_;
+  MemoryPool pool_;  ///< handle = pool allocation id
 };
 
 }  // namespace sn::mem

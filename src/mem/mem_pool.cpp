@@ -9,13 +9,20 @@ namespace sn::mem {
 MemoryPool::MemoryPool(uint64_t capacity, uint64_t block_bytes, bool backed, FitPolicy fit)
     : capacity_(capacity / block_bytes * block_bytes), block_bytes_(block_bytes), fit_(fit) {
   assert(block_bytes_ > 0);
-  if (capacity_ > 0) free_by_offset_.emplace(0, capacity_);
+  if (capacity_ > 0) {
+    free_by_offset_.emplace(0, capacity_);
+    free_sizes_.insert(capacity_);
+  }
   if (backed) slab_.resize(capacity_);
 }
 
 std::optional<PoolAllocation> MemoryPool::allocate(uint64_t bytes) {
   ++alloc_calls_;
   uint64_t need = round_up(bytes == 0 ? 1 : bytes);
+  if (need > largest_free()) {
+    ++failed_allocs_;
+    return std::nullopt;
+  }
   auto chosen = free_by_offset_.end();
   if (fit_ == FitPolicy::kFirstFit) {
     // First fit: lowest-offset free node large enough (paper §3.2.1).
@@ -33,14 +40,15 @@ std::optional<PoolAllocation> MemoryPool::allocate(uint64_t bytes) {
       if (it->second == need) break;  // exact fit: cannot do better
     }
   }
-  if (chosen == free_by_offset_.end()) {
-    ++failed_allocs_;
-    return std::nullopt;
-  }
+  assert(chosen != free_by_offset_.end() && "largest_free() fits, so some node does");
   uint64_t offset = chosen->first;
   uint64_t remaining = chosen->second - need;
+  drop_free_size(chosen->second);
   free_by_offset_.erase(chosen);
-  if (remaining > 0) free_by_offset_.emplace(offset + need, remaining);
+  if (remaining > 0) {
+    free_by_offset_.emplace(offset + need, remaining);
+    free_sizes_.insert(remaining);
+  }
   uint64_t id = next_id_++;
   allocated_.emplace(id, std::make_pair(offset, need));
   in_use_ += need;
@@ -62,28 +70,32 @@ void MemoryPool::deallocate(uint64_t id) {
   in_use_ -= bytes;
 
   // Insert and coalesce with the previous / next free nodes when adjacent.
-  auto [pos, inserted] = free_by_offset_.emplace(offset, bytes);
-  assert(inserted);
-  if (pos != free_by_offset_.begin()) {
-    auto prev = std::prev(pos);
-    if (prev->first + prev->second == pos->first) {
-      prev->second += pos->second;
-      free_by_offset_.erase(pos);
-      pos = prev;
+  auto next = free_by_offset_.lower_bound(offset);
+  assert(next == free_by_offset_.end() || next->first != offset);
+  uint64_t start = offset;
+  uint64_t size = bytes;
+  if (next != free_by_offset_.begin()) {
+    auto prev = std::prev(next);
+    if (prev->first + prev->second == offset) {
+      start = prev->first;
+      size += prev->second;
+      drop_free_size(prev->second);
+      free_by_offset_.erase(prev);
     }
   }
-  auto next = std::next(pos);
-  if (next != free_by_offset_.end() && pos->first + pos->second == next->first) {
-    pos->second += next->second;
-    free_by_offset_.erase(next);
+  if (next != free_by_offset_.end() && offset + bytes == next->first) {
+    size += next->second;
+    drop_free_size(next->second);
+    next = free_by_offset_.erase(next);
   }
+  free_by_offset_.emplace_hint(next, start, size);
+  free_sizes_.insert(size);
 }
 
-uint64_t MemoryPool::largest_free() const {
-  uint64_t best = 0;
-  for (const auto& [off, sz] : free_by_offset_)
-    if (sz > best) best = sz;
-  return best;
+std::optional<uint64_t> MemoryPool::offset_of(uint64_t id) const {
+  auto it = allocated_.find(id);
+  if (it == allocated_.end()) return std::nullopt;
+  return it->second.first;
 }
 
 PoolStats MemoryPool::stats() const {
@@ -114,9 +126,12 @@ const void* MemoryPool::ptr(uint64_t offset) const {
 bool MemoryPool::validate() const {
   // Collect all nodes (free + allocated), sort by offset, check exact tiling.
   std::map<uint64_t, std::pair<uint64_t, bool>> nodes;  // offset -> (size, is_free)
+  std::multiset<uint64_t> sizes;
   for (const auto& [off, sz] : free_by_offset_) {
     if (!nodes.emplace(off, std::make_pair(sz, true)).second) return false;
+    sizes.insert(sz);
   }
+  if (sizes != free_sizes_) return false;
   uint64_t allocated_total = 0;
   for (const auto& [id, node] : allocated_) {
     (void)id;

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -75,7 +76,11 @@ class MemoryPool {
   uint64_t block_bytes() const { return block_bytes_; }
   uint64_t in_use() const { return in_use_; }
   uint64_t free_bytes() const { return capacity_ - in_use_; }
-  uint64_t largest_free() const;
+  /// Size of the largest free node: exact, O(1).
+  uint64_t largest_free() const { return free_sizes_.empty() ? 0 : *free_sizes_.rbegin(); }
+
+  /// Chunk offset of live allocation `id`; nullopt for an unknown id.
+  std::optional<uint64_t> offset_of(uint64_t id) const;
 
   PoolStats stats() const;
 
@@ -85,7 +90,8 @@ class MemoryPool {
   bool backed() const { return !slab_.empty(); }
 
   /// Structural invariant check used by tests: nodes tile the chunk exactly,
-  /// no overlap, free map consistent with in_use accounting.
+  /// no overlap, free map consistent with in_use accounting and with the
+  /// free-size index.
   bool validate() const;
 
   static constexpr uint64_t kDefaultBlockBytes = 1024;  // paper's 1 KB unit
@@ -94,6 +100,9 @@ class MemoryPool {
   uint64_t round_up(uint64_t bytes) const {
     return (bytes + block_bytes_ - 1) / block_bytes_ * block_bytes_;
   }
+
+  /// Remove one free node of `bytes` from the size index.
+  void drop_free_size(uint64_t bytes) { free_sizes_.erase(free_sizes_.find(bytes)); }
 
   uint64_t capacity_;
   uint64_t block_bytes_;
@@ -109,6 +118,10 @@ class MemoryPool {
   /// Free nodes keyed by offset (ordered => first-fit scan + O(log n)
   /// neighbour lookup for coalescing). Value = node size in bytes.
   std::map<uint64_t, uint64_t> free_by_offset_;
+
+  /// The sizes of the free nodes (one element per node): largest_free() and
+  /// the "nothing fits" answer of allocate() without a scan.
+  std::multiset<uint64_t> free_sizes_;
 
   /// Live allocations: id -> (offset, bytes).
   std::unordered_map<uint64_t, std::pair<uint64_t, uint64_t>> allocated_;

@@ -128,7 +128,6 @@ TEST(Inference, ReportsAllocatorAndCacheCounters) {
     }
     auto o = real_opts(params + activation_budget);
     o.allow_workspace = false;
-    o.recompute = core::RecomputeMode::kNone;
     core::Runtime rt(*net, o);
     return rt.forward_iteration(data.data(), labels.data());
   };
@@ -144,6 +143,115 @@ TEST(Inference, ReportsAllocatorAndCacheCounters) {
   EXPECT_GT(tight.bytes_d2h, 0u);
   EXPECT_LT(tight.peak_mem, ample.peak_mem);
   EXPECT_EQ(tight.loss, ample.loss);  // eviction never changes numerics
+}
+
+uint64_t persistent_bytes(const graph::Net& net) {
+  uint64_t b = 0;
+  for (const auto& t : net.registry().all()) {
+    if (t->kind() == tensor::TensorKind::kParam || t->kind() == tensor::TensorKind::kParamGrad)
+      b += t->bytes();
+  }
+  return b;
+}
+
+TEST(Inference, RecomputeUnderPressureIsACleanOom) {
+  // Inference frees each tensor at its last forward use, so the replay that
+  // would regenerate a recompute-dropped tensor can find its producer's
+  // input already freed. At this budget a forward-only pass under the
+  // kSuperNeurons default (recompute on) used to throw
+  // logic_error("use of never-defined tensor CONV0:y"); it must evict by
+  // offloading instead, which here ends in a proper OomError (the residual
+  // join needs three activations resident at once).
+  for (bool real : {false, true}) {
+    auto net = graph::build_tiny_resnet(8, 2, 16, 4);
+    core::RuntimeOptions o = core::make_policy(core::PolicyPreset::kSuperNeurons);
+    ASSERT_NE(o.recompute, core::RecomputeMode::kNone);
+    o.real = real;
+    o.allow_workspace = false;
+    o.device_capacity = persistent_bytes(*net) + net->max_layer_bytes() / 2;
+    o.host_capacity = 16ull << 20;
+    train::SyntheticDataset ds(tensor::Shape{1, 3, 16, 16}, 4, 7);
+    std::vector<float> data(8 * 3 * 256);
+    std::vector<int32_t> labels(8);
+    ds.fill_batch(8, 0, data.data(), labels.data());
+    core::Runtime rt(*net, o);
+    EXPECT_THROW(rt.forward_iteration(real ? data.data() : nullptr, real ? labels.data() : nullptr),
+                 core::OomError)
+        << (real ? "real" : "sim");
+  }
+}
+
+TEST(Inference, EveryCapacityIsACorrectRunOrAnOom) {
+  // The class-closing oracle: for each tiny zoo net x policy preset x a
+  // capacity ladder from below the layer floor to all-resident, a training
+  // iteration and an inference pass each either throw OomError or complete.
+  // Anything else (a logic_error from a replay) is a scheduler bug. Every
+  // preset runs the ladder in simulation mode; kSuperNeurons (recompute,
+  // offload and the tensor cache together) also runs it in real mode, where
+  // a completed run must match the ample-capacity loss bit for bit.
+  struct Case {
+    const char* name;
+    std::unique_ptr<graph::Net> (*build)();
+    int image;
+    int classes;
+  };
+  const Case cases[] = {
+      {"tiny_linear", [] { return graph::build_tiny_linear(4, 8, 4); }, 8, 4},
+      {"tiny_fanjoin", [] { return graph::build_tiny_fanjoin(4, 8, 4); }, 8, 4},
+      {"tiny_resnet", [] { return graph::build_tiny_resnet(8, 2, 16, 4); }, 16, 4},
+      {"mini_alexnet", [] { return graph::build_mini_alexnet(4, 16, 8); }, 16, 8},
+  };
+  const core::PolicyPreset presets[] = {
+      core::PolicyPreset::kBaselineNaive, core::PolicyPreset::kCaffeLike,
+      core::PolicyPreset::kTorchLike,     core::PolicyPreset::kMxnetLike,
+      core::PolicyPreset::kTfLike,        core::PolicyPreset::kSuperNeurons};
+  for (const Case& c : cases) {
+    const auto probe = c.build();
+    const int batch = probe->input_layer()->out_shape().n;
+    train::SyntheticDataset ds(tensor::Shape{1, 3, c.image, c.image}, c.classes, 7);
+    std::vector<float> data(static_cast<size_t>(batch) * 3 * c.image * c.image);
+    std::vector<int32_t> labels(static_cast<size_t>(batch));
+    ds.fill_batch(batch, 0, data.data(), labels.data());
+    // Parameters round up to whole pool blocks, so the ladder starts from
+    // twice their bytes.
+    const uint64_t floor = 2 * persistent_bytes(*probe);
+    const uint64_t step = probe->max_layer_bytes() / 10;
+    const uint64_t ample = floor + 4 * probe->total_tensor_bytes();
+    for (core::PolicyPreset p : presets) {
+      for (bool real : {false, true}) {
+        if (real && p != core::PolicyPreset::kSuperNeurons) continue;
+        for (bool infer : {false, true}) {
+          auto run = [&](uint64_t cap) {
+            auto net = c.build();
+            core::RuntimeOptions o = core::make_policy(p);
+            o.real = real;
+            o.allow_workspace = false;
+            o.device_capacity = cap;
+            o.host_capacity = 16ull << 20;
+            core::Runtime rt(*net, o);
+            const float* x = real ? data.data() : nullptr;
+            const int32_t* y = real ? labels.data() : nullptr;
+            return infer ? rt.forward_iteration(x, y).loss : rt.train_iteration(x, y).loss;
+          };
+          const double ref = run(ample);
+          // Real mode takes every other rung: it runs the kernels.
+          for (int k = real ? 2 : 1; k <= 14; k += real ? 2 : 1) {
+            const std::string where = std::string(c.name) + " " + core::policy_name(p) +
+                                      (real ? " real" : " sim") +
+                                      (infer ? " inference" : " training") + " rung " +
+                                      std::to_string(k);
+            try {
+              EXPECT_EQ(run(floor + step * static_cast<uint64_t>(k)), ref) << where;
+            } catch (const core::OomError&) {
+              // A clean OOM is a correct answer.
+            } catch (const std::exception& e) {
+              ADD_FAILURE() << where << ": " << e.what();
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ActKinds, DependencyShapesDiffer) {

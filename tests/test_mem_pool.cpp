@@ -3,6 +3,7 @@
 // randomized churn, and the allocator wrappers' latency accounting.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "mem/gpu_allocator.hpp"
@@ -186,6 +187,88 @@ TEST(MemoryPool, FitPoliciesAgreeOnInUseAccounting) {
     for (uint64_t id : live) p.deallocate(id);
     EXPECT_EQ(p.in_use(), 0u);
   }
+}
+
+TEST(MemoryPool, LargestFreeAndPlacementMatchAFullScan) {
+  // Reference: the plain first-fit free list, scanned in full for every
+  // answer. The pool's size index must give the same largest_free() after
+  // every operation, and first-fit placement must pick the same offsets.
+  MemoryPool p(1 << 20, 1024);
+  std::map<uint64_t, uint64_t> free_nodes{{0, 1 << 20}};  // offset -> bytes
+  std::map<uint64_t, std::pair<uint64_t, uint64_t>> live;  // id -> (offset, bytes)
+  auto scan_largest = [&] {
+    uint64_t best = 0;
+    for (const auto& [off, sz] : free_nodes) best = std::max(best, sz);
+    return best;
+  };
+  sn::util::Rng rng(11);
+  for (int step = 0; step < 20000; ++step) {
+    if (live.empty() || rng.next_float() < 0.52f) {
+      const uint64_t bytes = 1 + rng.next_below(48 << 10);
+      const uint64_t need = (bytes + 1023) / 1024 * 1024;
+      auto fit = free_nodes.begin();
+      while (fit != free_nodes.end() && fit->second < need) ++fit;
+      auto a = p.allocate(bytes);
+      ASSERT_EQ(a.has_value(), fit != free_nodes.end()) << "step " << step;
+      if (a) {
+        ASSERT_EQ(a->offset, fit->first) << "step " << step;
+        const uint64_t rest = fit->second - need;
+        free_nodes.erase(fit);
+        if (rest > 0) free_nodes.emplace(a->offset + need, rest);
+        live.emplace(a->id, std::make_pair(a->offset, need));
+        ASSERT_EQ(p.offset_of(a->id), a->offset);
+      }
+    } else {
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(rng.next_below(live.size())));
+      auto [off, sz] = it->second;
+      p.deallocate(it->first);
+      EXPECT_FALSE(p.offset_of(it->first).has_value());
+      live.erase(it);
+      auto next = free_nodes.emplace(off, sz).first;
+      if (next != free_nodes.begin()) {
+        auto prev = std::prev(next);
+        if (prev->first + prev->second == off) {
+          prev->second += next->second;
+          free_nodes.erase(next);
+          next = prev;
+        }
+      }
+      auto after = std::next(next);
+      if (after != free_nodes.end() && next->first + next->second == after->first) {
+        next->second += after->second;
+        free_nodes.erase(after);
+      }
+    }
+    ASSERT_EQ(p.largest_free(), scan_largest()) << "step " << step;
+    if (step % 1000 == 0) {
+      ASSERT_TRUE(p.validate()) << "step " << step;
+    }
+  }
+  EXPECT_EQ(p.stats().free_nodes, free_nodes.size());
+}
+
+TEST(GpuAllocator, HandlesResolveThroughThePool) {
+  // The allocators keep no handle table of their own: a handle is the pool
+  // allocation id, and ptr() resolves it until it is freed.
+  sn::sim::Machine m(sn::sim::k40c_spec());
+  PoolAllocator pool(m, 64 << 10, 1024, /*backed=*/true);
+  NativeAllocator native(m, 64 << 10, /*backed=*/true);
+  for (GpuAllocator* a : {static_cast<GpuAllocator*>(&pool), static_cast<GpuAllocator*>(&native)}) {
+    auto h1 = a->allocate(4096);
+    auto h2 = a->allocate(4096);
+    ASSERT_TRUE(h1 && h2);
+    auto* p1 = static_cast<char*>(a->ptr(*h1));
+    auto* p2 = static_cast<char*>(a->ptr(*h2));
+    ASSERT_NE(p1, nullptr);
+    EXPECT_GE(p2 - p1, 4096);
+    a->deallocate(*h1);
+    EXPECT_EQ(a->ptr(*h1), nullptr);
+    EXPECT_EQ(a->ptr(*h2), p2);
+    a->deallocate(*h2);
+    EXPECT_EQ(a->in_use(), 0u);
+  }
+  EXPECT_EQ(pool.pool().stats().bad_frees, 0u);
 }
 
 TEST(GpuAllocator, PoolIsFasterThanNative) {

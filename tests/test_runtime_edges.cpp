@@ -130,6 +130,24 @@ TEST(RuntimeEdges, OomErrorCarriesDiagnostics) {
   }
 }
 
+TEST(RuntimeEdges, OomErrorIsAStdException) {
+  // A generic handler must see the OOM (and its message), not let it
+  // terminate the process.
+  auto net = graph::build_mini_alexnet(8);
+  core::RuntimeOptions o = core::make_policy(core::PolicyPreset::kSuperNeurons);
+  o.real = false;
+  o.device_capacity = 64 << 10;
+  core::Runtime rt(*net, o);
+  try {
+    rt.train_iteration(nullptr, nullptr);
+    FAIL() << "expected OomError";
+  } catch (const std::exception& e) {
+    ASSERT_NE(dynamic_cast<const core::OomError*>(&e), nullptr);
+    EXPECT_EQ(std::string(e.what()), dynamic_cast<const core::OomError&>(e).what);
+    EXPECT_NE(std::string(e.what()).find("device OOM"), std::string::npos);
+  }
+}
+
 TEST(RuntimeEdges, BaselinePeakEqualsTotalTensorDemand) {
   // The paper's baseline formula: every tensor allocated, nothing freed.
   auto net = graph::build_mini_alexnet(8);
